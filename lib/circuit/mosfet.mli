@@ -54,7 +54,47 @@ val kp_t : model -> temp:float -> float
     internal ones). Currents flow into the drain terminal. *)
 type eval = { id : float; gm : float; gds : float }
 
+(** {2 Hot-loop evaluation}
+
+    The Newton stamp loop evaluates every device many times at one
+    temperature. {!terms} computes the temperature-only part of the
+    model once; {!evaluate} then reads and writes a reusable {!bias}
+    record and allocates nothing. {!ids} is the same computation in
+    one call, so the two agree bit for bit. *)
+
+(** Temperature-only terms of one model at one temperature. *)
+type terms = private {
+  sgn : float;     (** [+1.] for NMOS, [-1.] for PMOS *)
+  vth_t : float;   (** threshold magnitude v_th(T), V *)
+  n : float;       (** sub-threshold slope factor *)
+  vt_th : float;   (** thermal voltage kT/q, V *)
+  two_vt : float;  (** [2 vt_th] *)
+  scale : float;   (** [2 n k_p(T) vt_th^2], A *)
+  lambda_ : float; (** channel-length modulation, 1/V *)
+}
+
+(** [terms model ~temp] precomputes the temperature-only terms. *)
+val terms : model -> temp:float -> terms
+
+(** Evaluation registers: {!evaluate} reads [vgs], [vds] and writes
+    [i_d], [g_m], [g_ds] — the fields of {!eval}. *)
+type bias = {
+  mutable vgs : float;
+  mutable vds : float;
+  mutable i_d : float;
+  mutable g_m : float;
+  mutable g_ds : float;
+}
+
+(** [bias ()] is a zeroed register record. *)
+val bias : unit -> bias
+
+(** [evaluate terms b] evaluates the device at [b.vgs], [b.vds] into
+    [b.i_d], [b.g_m], [b.g_ds]. Allocates nothing. *)
+val evaluate : terms -> bias -> unit
+
 (** [ids model ~temp ~vgs ~vds] evaluates the device. Source/drain are
     exchanged internally for reverse bias; PMOS is handled by sign
-    reflection. [gm = dId/dVgs], [gds = dId/dVds]. *)
+    reflection. [gm = dId/dVgs], [gds = dId/dVds]. It is {!evaluate}
+    on fresh {!terms}, and allocates its result. *)
 val ids : model -> temp:float -> vgs:float -> vds:float -> eval

@@ -47,25 +47,9 @@ let run compiled ?(opts = Options.default) ~segments ~lanes ~probes () =
   Tel.Counter.add c_lanes n_lanes;
   Atomic.incr g_batches;
   ignore (Atomic.fetch_and_add g_lanes n_lanes);
-  if not (opts.Options.dt_scale > 0.0) then
-    invalid_arg "Ensemble.run: dt_scale must be positive";
-  let segments =
-    if opts.Options.dt_scale = 1.0 then segments
-    else
-      List.map (fun (t_end, dt) -> (t_end, dt *. opts.Options.dt_scale))
-        segments
-  in
-  (match segments with
-  | [] -> invalid_arg "Ensemble.run: no segments"
-  | _ ->
-    ignore
-      (List.fold_left
-         (fun t_prev (t_end, dt) ->
-           if dt <= 0.0 then invalid_arg "Ensemble.run: dt <= 0";
-           if t_end <= t_prev then
-             invalid_arg "Ensemble.run: segment ends must increase";
-           t_end)
-         0.0 segments));
+  (* the shared grid: the [Transient.run] walk itself, so the accepted
+     times are identical *)
+  let grid = Transient.grid ~who:"Ensemble.run" opts segments in
   let sys = Mna.make compiled in
   let ws = Mna.make_workspace sys in
   let n_nodes = Mna.n_nodes sys in
@@ -108,27 +92,8 @@ let run compiled ?(opts = Options.default) ~segments ~lanes ~probes () =
          probes)
   in
   let n_probes = Array.length probe_ids in
-  (* the shared grid, precomputed with the same arithmetic as the
-     [Transient.run] segment walk so the accepted times are identical *)
-  let steps = ref [] in
-  let n_steps = ref 0 in
-  let t = ref 0.0 in
-  ignore
-    (List.fold_left
-       (fun seg_start (t_end, dt) ->
-         while !t < t_end -. (dt /. 2.0) do
-           let t_next = Float.min t_end (!t +. dt) in
-           steps := (seg_start, t_end, !t, t_next) :: !steps;
-           incr n_steps;
-           t := t_next
-         done;
-         t := Float.max !t t_end;
-         t_end)
-       0.0 segments);
-  let steps = List.rev !steps in
-  let n_pts = !n_steps + 1 in
-  let times_arr = Array.make n_pts 0.0 in
-  List.iteri (fun i (_, _, _, t_next) -> times_arr.(i + 1) <- t_next) steps;
+  let times_arr = grid.Transient.points in
+  let n_pts = Array.length times_arr in
   (* per-lane state rows: committed unknowns, working Newton iterate,
      previous accepted node voltages, capacitor history. Row identity is
      stable for the whole run — the Newton loop and [Mna] read and write
@@ -227,7 +192,7 @@ let run compiled ?(opts = Options.default) ~segments ~lanes ~probes () =
               ~g:override_g.(li);
           match
             Mna.assemble_into_pre sys ws ~opts ~x ~reactive:reacts.(li);
-            (match Mna.solve_in_place sys ws ~opts with
+            (match Mna.solve_in_place ws ~opts with
             | () -> ()
             | exception L.Singular { row; pivot } ->
               Newton.sick_singular ~t_now ~iter ~row ~pivot);
@@ -323,34 +288,35 @@ let run compiled ?(opts = Options.default) ~segments ~lanes ~probes () =
      catch-up (whose solves reuse the shared flag arrays) *)
   let step_ok = Array.make n_lanes false in
   let step_err : exn option array = Array.make n_lanes None in
-  let pt = ref 0 in
-  List.iter
-    (fun (seg_start, seg_end, t_prev, t_next) ->
-      let dt0 = t_next -. t_prev in
-      solve_batch ~t_now:t_next ~dt':dt0 ~sel:(fun _ -> true);
-      for li = 0 to n_lanes - 1 do
-        step_ok.(li) <- lane_done.(li);
-        step_err.(li) <- lane_err.(li)
-      done;
-      for li = 0 to n_lanes - 1 do
-        if dead.(li) = None && step_ok.(li) then commit li
-      done;
-      for li = 0 to n_lanes - 1 do
-        if dead.(li) = None && not step_ok.(li) then begin
-          let first_err = Option.get step_err.(li) in
-          match
-            catchup li ~seg_start ~seg_end ~t_next ~t_prev0:t_prev ~dt0
-              ~first_err
-          with
-          | () -> ()
-          | exception e -> lane_failed li e
-        end
-      done;
-      incr pt;
-      for li = 0 to n_lanes - 1 do
-        if dead.(li) = None then record li !pt
-      done)
-    steps;
+  for k = 0 to n_pts - 2 do
+    let seg = grid.Transient.step_seg.(k) in
+    let seg_start = grid.Transient.seg_start.(seg) in
+    let seg_end = fst grid.Transient.segments.(seg) in
+    let t_prev = grid.Transient.t_prev.(k) and t_next = times_arr.(k + 1) in
+    let dt0 = t_next -. t_prev in
+    solve_batch ~t_now:t_next ~dt':dt0 ~sel:(fun _ -> true);
+    for li = 0 to n_lanes - 1 do
+      step_ok.(li) <- lane_done.(li);
+      step_err.(li) <- lane_err.(li)
+    done;
+    for li = 0 to n_lanes - 1 do
+      if dead.(li) = None && step_ok.(li) then commit li
+    done;
+    for li = 0 to n_lanes - 1 do
+      if dead.(li) = None && not step_ok.(li) then begin
+        let first_err = Option.get step_err.(li) in
+        match
+          catchup li ~seg_start ~seg_end ~t_next ~t_prev0:t_prev ~dt0
+            ~first_err
+        with
+        | () -> ()
+        | exception e -> lane_failed li e
+      end
+    done;
+    for li = 0 to n_lanes - 1 do
+      if dead.(li) = None then record li (k + 1)
+    done
+  done;
   let probe_names = Array.of_list probes in
   Array.init n_lanes (fun li ->
       match dead.(li) with

@@ -173,7 +173,7 @@ let structural_pattern sys =
     sys.mosfets;
   pat
 
-let node_voltage _sys x node = if node = 0 then 0.0 else x.(node - 1)
+let[@inline] node_voltage _sys x node = if node = 0 then 0.0 else x.(node - 1)
 
 let voltages sys x =
   Array.init sys.n_nodes (fun n -> if n = 0 then 0.0 else x.(n - 1))
@@ -200,9 +200,11 @@ let init_reactive sys ~prev_v =
   { dt = 0.0; prev_v; prev_cap_current = Array.make sys.n_caps 0.0 }
 
 (* Stamping helpers. Node indices map to matrix rows as [node - 1];
-   ground (0) contributions are dropped. *)
+   ground (0) contributions are dropped. All [@inline]: a float argument
+   to an out-of-line call is boxed, and these run for every device on
+   every Newton iteration. *)
 
-let stamp_g g mat a b =
+let[@inline] stamp_g g mat a b =
   let ia = a - 1 and ib = b - 1 in
   if ia >= 0 then mat.(ia).(ia) <- mat.(ia).(ia) +. g;
   if ib >= 0 then mat.(ib).(ib) <- mat.(ib).(ib) +. g;
@@ -212,22 +214,22 @@ let stamp_g g mat a b =
   end
 
 (* current [i] injected INTO node [n] appears on the RHS *)
-let stamp_i i rhs n = if n > 0 then rhs.(n - 1) <- rhs.(n - 1) +. i
+let[@inline] stamp_i i rhs n = if n > 0 then rhs.(n - 1) <- rhs.(n - 1) +. i
 
 (* VCCS: current g * (v_cp - v_cn) flows from node [p] to node [n]
    (leaves p, enters n). First-order function on purpose — an inner
    closure here would allocate once per MOSFET per Newton iteration. *)
-let stamp_vccs_set mat r c v =
+let[@inline] stamp_vccs_set mat r c v =
   if r > 0 && c > 0 then mat.(r - 1).(c - 1) <- mat.(r - 1).(c - 1) +. v
 
-let stamp_vccs g mat p n cp cn =
+let[@inline] stamp_vccs g mat p n cp cn =
   stamp_vccs_set mat p cp g;
   stamp_vccs_set mat p cn (-.g);
   stamp_vccs_set mat n cp (-.g);
   stamp_vccs_set mat n cn g
 
 (* capacitor companion conductance for one time step *)
-let cap_g ~(opts : Options.t) ~dt c =
+let[@inline] cap_g ~(opts : Options.t) ~dt c =
   match opts.integrator with
   | Options.Backward_euler -> c /. dt
   | Options.Trapezoidal -> 2.0 *. c /. dt
@@ -337,19 +339,41 @@ type workspace = {
      full 1e3..1e11 Ohm sweep range (a delta cancels catastrophically
      when the lane and base conductances differ by orders of magnitude) *)
   mutable excluded_res : int;
-  mutable override_g : float;
+  (* one slot: a float array stores unboxed, where a mutable float field
+     of this mixed record would box on every lane switch *)
+  override_g : float array;
   (* cached control evaluations for the current t_now, shared across
      ensemble lanes (one waveform walk per time point, not per lane) *)
   sw_g : float array;
   vs_v : float array;
   is_i : float array;
+  (* per control, the PWL segment it was last evaluated on
+     ([Waveform.eval_into]'s hint) *)
+  sw_hint : int array;
+  vs_hint : int array;
+  is_hint : int array;
+  (* per-MOSFET temperature terms for [mos_temp], rebuilt when the
+     temperature changes (like the template on dt), and the evaluation
+     registers every MOSFET stamp reuses *)
+  mutable mos_terms : C.Mosfet.terms array;
+  mutable mos_temp : float;
+  bias : C.Mosfet.bias;
   perm : int array;
   scratch : float array;
+  (* per row, the structural columns ([structural_pattern]): the only
+     entries any stamp writes, so the only ones a template copy must
+     refresh while [mat] holds nothing but stamps *)
+  pattern : bool array array;
+  pattern_cols : int array array;
+  (* the dense oracle LU factors [mat] in place, leaving fill-in off the
+     pattern; the next copy is then a full one *)
+  mutable mat_dirty : bool;
   mutable slu : Sp.t option;  (* lazily built on the first sparse solve *)
 }
 
 let make_workspace sys =
   let n = sys.size in
+  let pattern = structural_pattern sys in
   {
     w_size = n;
     mat = L.create n n;
@@ -361,22 +385,36 @@ let make_workspace sys =
     tmpl_trapezoidal = false;
     tmpl_excluded = -1;
     excluded_res = -1;
-    override_g = 0.0;
+    override_g = [| 0.0 |];
     sw_g = Array.make (Array.length sys.switches) 0.0;
     vs_v = Array.make (Array.length sys.vsrcs) 0.0;
     is_i = Array.make (Array.length sys.isrcs) 0.0;
+    sw_hint = Array.make (Array.length sys.switches) 0;
+    vs_hint = Array.make (Array.length sys.vsrcs) 0;
+    is_hint = Array.make (Array.length sys.isrcs) 0;
+    mos_terms = [||];
+    mos_temp = Float.nan;
+    bias = C.Mosfet.bias ();
     perm = Array.make n 0;
     scratch = Array.make n 0.0;
+    pattern;
+    pattern_cols =
+      Array.map
+        (fun row ->
+          Array.of_list
+            (List.filter (fun j -> row.(j)) (List.init n Fun.id)))
+        pattern;
+    mat_dirty = false;
     slu = None;
   }
 
 let set_resistor_override ws ~index ~g =
   ws.excluded_res <- index;
-  ws.override_g <- g
+  ws.override_g.(0) <- g
 
 let clear_resistor_override ws =
   ws.excluded_res <- -1;
-  ws.override_g <- 0.0
+  ws.override_g.(0) <- 0.0
 
 (* static-linear part: gmin regularization, resistors, voltage-source
    topology and — for a fixed (dt, integrator) — the capacitor companion
@@ -412,20 +450,21 @@ let rebuild_template sys ws ~(opts : Options.t) ~dt =
       sys.caps
 
 (* Evaluate every control waveform at [t_now] into the workspace
-   buffers. Split out of assembly so the ensemble engine can walk the
-   waveforms once per time point and share the values across all lanes
-   (they integrate on one shared grid). *)
+   buffers. Split out of assembly because the controls depend on the
+   time point only: a Newton solve walks the waveforms once, not once
+   per iteration, and the ensemble engine shares the values across all
+   lanes (they integrate on one shared grid). *)
 let eval_controls_into sys ws ~t_now =
   for i = 0 to Array.length sys.switches - 1 do
     let p = sys.switches.(i) in
-    ws.sw_g.(i) <-
-      (if C.Waveform.eval p.ctrl t_now > p.threshold then p.g_on else p.g_off)
+    C.Waveform.eval_into p.ctrl t_now ~hint:ws.sw_hint ws.sw_g i;
+    ws.sw_g.(i) <- (if ws.sw_g.(i) > p.threshold then p.g_on else p.g_off)
   done;
   for i = 0 to Array.length sys.vsrcs - 1 do
-    ws.vs_v.(i) <- C.Waveform.eval sys.vsrcs.(i).v_wave t_now
+    C.Waveform.eval_into sys.vsrcs.(i).v_wave t_now ~hint:ws.vs_hint ws.vs_v i
   done;
   for i = 0 to Array.length sys.isrcs - 1 do
-    ws.is_i.(i) <- C.Waveform.eval sys.isrcs.(i).i_wave t_now
+    C.Waveform.eval_into sys.isrcs.(i).i_wave t_now ~hint:ws.is_hint ws.is_i i
   done
 
 (* assembly from pre-evaluated controls ([eval_controls_into]) *)
@@ -452,14 +491,31 @@ let assemble_into_pre sys ws ~(opts : Options.t) ~x ~reactive =
      ws.tmpl_trapezoidal <- trapezoidal;
      ws.tmpl_excluded <- ws.excluded_res
    end);
+  (* [<>] is true for the initial NaN, so the first assembly builds *)
+  if ws.mos_temp <> opts.temp then begin
+    ws.mos_terms <-
+      Array.map (fun p -> C.Mosfet.terms p.model ~temp:opts.temp) sys.mosfets;
+    ws.mos_temp <- opts.temp
+  end;
   let mat = ws.mat and rhs = ws.rhs in
-  for i = 0 to n - 1 do
-    Array.blit ws.tmpl.(i) 0 mat.(i) 0 n
-  done;
+  if ws.mat_dirty then begin
+    for i = 0 to n - 1 do
+      Array.blit ws.tmpl.(i) 0 mat.(i) 0 n
+    done;
+    ws.mat_dirty <- false
+  end
+  else
+    for i = 0 to n - 1 do
+      let src = ws.tmpl.(i) and dst = mat.(i) and cols = ws.pattern_cols.(i) in
+      for jj = 0 to Array.length cols - 1 do
+        let j = Array.unsafe_get cols jj in
+        Array.unsafe_set dst j (Array.unsafe_get src j)
+      done
+    done;
   Array.fill rhs 0 n 0.0;
   (if ws.excluded_res >= 0 then
      let p = sys.resistors.(ws.excluded_res) in
-     stamp_g ws.override_g mat p.r_a p.r_b);
+     stamp_g ws.override_g.(0) mat p.r_a p.r_b);
   (* dynamic stamps: switch state and source values at t_now, capacitor
      history currents, MOSFET linearization around x. Indexed loops, not
      [Array.iter]: this body runs every Newton iteration and a closure per
@@ -491,17 +547,19 @@ let assemble_into_pre sys ws ~(opts : Options.t) ~x ~reactive =
     stamp_i (-.i_src) rhs p.i_pos;
     stamp_i i_src rhs p.i_neg
   done;
-  let temp = opts.temp in
+  let b = ws.bias in
   for i = 0 to Array.length sys.mosfets - 1 do
     let p = sys.mosfets.(i) in
     let vd = node_voltage sys x p.m_d
     and vg = node_voltage sys x p.m_g
     and vs = node_voltage sys x p.m_s in
     let vgs = vg -. vs and vds = vd -. vs in
-    let e = C.Mosfet.ids p.model ~temp ~vgs ~vds in
-    let id = e.C.Mosfet.id *. p.mult
-    and gm = e.C.Mosfet.gm *. p.mult
-    and gds = e.C.Mosfet.gds *. p.mult in
+    b.C.Mosfet.vgs <- vgs;
+    b.C.Mosfet.vds <- vds;
+    C.Mosfet.evaluate ws.mos_terms.(i) b;
+    let id = b.C.Mosfet.i_d *. p.mult
+    and gm = b.C.Mosfet.g_m *. p.mult
+    and gds = b.C.Mosfet.g_ds *. p.mult in
     let ieq = id -. (gm *. vgs) -. (gds *. vds) in
     stamp_g gds mat p.m_d p.m_s;
     stamp_vccs gm mat p.m_d p.m_s p.m_g p.m_s;
@@ -509,13 +567,9 @@ let assemble_into_pre sys ws ~(opts : Options.t) ~x ~reactive =
     stamp_i ieq rhs p.m_s
   done
 
-let assemble_into sys ws ~(opts : Options.t) ~t_now ~x ~reactive =
-  eval_controls_into sys ws ~t_now;
-  assemble_into_pre sys ws ~opts ~x ~reactive
-
 module Chaos = Dramstress_util.Chaos
 
-let solve_in_place sys ws ~(opts : Options.t) =
+let solve_in_place ws ~(opts : Options.t) =
   record_factor_solve ();
   if Chaos.armed () && Chaos.fire Chaos.Perturb_jacobian then
     (* zero a row: crisply rank-deficient, so the factorization's pivot
@@ -525,6 +579,7 @@ let solve_in_place sys ws ~(opts : Options.t) =
     (* golden oracle: the dense in-place LU with per-factor partial
        pivoting, selected like [naive_assembly] selects the reference
        assembly *)
+    ws.mat_dirty <- true;
     let lu = L.lu_factor_in_place ws.mat ~perm:ws.perm in
     L.lu_solve_in_place lu ~scratch:ws.scratch ws.rhs
   end
@@ -533,7 +588,7 @@ let solve_in_place sys ws ~(opts : Options.t) =
       match ws.slu with
       | Some s -> s
       | None ->
-        let s = Sp.make ~n:ws.w_size ~pattern:(structural_pattern sys) in
+        let s = Sp.make ~n:ws.w_size ~pattern:ws.pattern in
         ws.slu <- Some s;
         s
     in
@@ -548,22 +603,18 @@ let solution ws = ws.rhs
    slot, so the in-place update is well-defined. *)
 let cap_currents_into sys ~(opts : Options.t) ~x ~reactive ~out =
   if reactive.dt > 0.0 then
-    Array.iter
-      (fun p ->
-        let vab = node_voltage sys x p.c_a -. node_voltage sys x p.c_b in
-        let vab_prev = reactive.prev_v.(p.c_a) -. reactive.prev_v.(p.c_b) in
-        let i =
-          match opts.integrator with
-          | Options.Backward_euler -> p.cap /. reactive.dt *. (vab -. vab_prev)
-          | Options.Trapezoidal ->
-            (2.0 *. p.cap /. reactive.dt *. (vab -. vab_prev))
-            -. reactive.prev_cap_current.(p.slot)
-        in
-        out.(p.slot) <- i)
-      sys.caps
-  else Array.iter (fun p -> out.(p.slot) <- 0.0) sys.caps
-
-let cap_currents sys ~(opts : Options.t) ~x ~reactive =
-  let out = Array.make sys.n_caps 0.0 in
-  cap_currents_into sys ~opts ~x ~reactive ~out;
-  out
+    for k = 0 to Array.length sys.caps - 1 do
+      let p = sys.caps.(k) in
+      let vab = node_voltage sys x p.c_a -. node_voltage sys x p.c_b in
+      let vab_prev = reactive.prev_v.(p.c_a) -. reactive.prev_v.(p.c_b) in
+      out.(p.slot) <-
+        (match opts.integrator with
+        | Options.Backward_euler -> p.cap /. reactive.dt *. (vab -. vab_prev)
+        | Options.Trapezoidal ->
+          (2.0 *. p.cap /. reactive.dt *. (vab -. vab_prev))
+          -. reactive.prev_cap_current.(p.slot))
+    done
+  else
+    for k = 0 to Array.length sys.caps - 1 do
+      out.(sys.caps.(k).slot) <- 0.0
+    done

@@ -88,7 +88,8 @@ val assemble :
     work matrix and RHS, the cached static-linear template (gmin,
     resistors, voltage-source topology, capacitor conductances for the
     current [(dt, gmin, integrator)]), and the pivot/substitution
-    scratch used by the in-place LU. One workspace serves any number of
+    scratch used by the in-place LU, and the MOSFET temperature terms
+    for the current [opts.temp]. One workspace serves any number of
     sequential solves on the same system; it must not be shared between
     domains. *)
 type workspace
@@ -110,16 +111,20 @@ val clear_resistor_override : workspace -> unit
 
 (** [eval_controls_into sys ws ~t_now] evaluates every control waveform
     (switch controls, source values) at [t_now] into workspace buffers
-    consumed by {!assemble_into_pre}. Split from assembly so ensemble
-    lanes sharing a time grid walk each waveform once per time point,
-    not once per lane. *)
+    consumed by {!assemble_into_pre}. The controls depend on the time
+    point only, so a Newton solve evaluates them once for all its
+    iterations, and ensemble lanes sharing a time grid once for all
+    lanes. *)
 val eval_controls_into : t -> workspace -> t_now:float -> unit
 
 (** [assemble_into_pre sys ws ~opts ~x ~reactive] stamps the system from
     the control values left by the last {!eval_controls_into}: template
     copy (rebuilt only when [(dt, gmin, integrator, override)] changed),
     then dynamic stamps — switch states, source values, capacitor
-    history, MOSFET linearization around [x]. *)
+    history, MOSFET linearization around [x] from per-temperature
+    {!Dramstress_circuit.Mosfet.terms} cached in the workspace (rebuilt
+    only when [opts.temp] changes). It produces systems identical to
+    {!assemble}, and once the caches are built it allocates nothing. *)
 val assemble_into_pre :
   t ->
   workspace ->
@@ -128,20 +133,7 @@ val assemble_into_pre :
   reactive:reactive ->
   unit
 
-(** [assemble_into sys ws ~opts ~t_now ~x ~reactive] is
-    {!eval_controls_into} followed by {!assemble_into_pre} — the
-    single-lane spelling, producing systems identical to {!assemble}
-    without heap allocation. *)
-val assemble_into :
-  t ->
-  workspace ->
-  opts:Options.t ->
-  t_now:float ->
-  x:float array ->
-  reactive:reactive ->
-  unit
-
-(** [solve_in_place sys ws ~opts] factors the assembled matrix and
+(** [solve_in_place ws ~opts] factors the assembled matrix and
     overwrites the assembled RHS with the solution ({!solution}). The
     default path is the sparsity-aware factorization
     ({!Dramstress_util.Sparse_lu}) reusing one symbolic analysis per
@@ -150,23 +142,19 @@ val assemble_into :
     golden oracle, selected exactly like [naive_assembly]. Raises
     [Dramstress_util.Linalg.Singular] on a rank-deficient (or
     non-finite) system. *)
-val solve_in_place : t -> workspace -> opts:Options.t -> unit
+val solve_in_place : workspace -> opts:Options.t -> unit
 
 (** [solution ws] is the workspace RHS buffer, holding the solution
     after {!solve_in_place}. The array is reused by the next
-    {!assemble_into}; copy anything that must survive. *)
+    {!assemble_into_pre}; copy anything that must survive. *)
 val solution : workspace -> float array
 
-(** [cap_currents sys ~opts ~x ~reactive] computes each capacitor's branch
-    current at the just-solved point (needed to advance the trapezoidal
-    rule). *)
-val cap_currents :
-  t -> opts:Options.t -> x:float array -> reactive:reactive -> float array
-
-(** Allocation-free variant writing into [out] (length >= n_capacitors).
-    [out] may alias [reactive.prev_cap_current]: each capacitor reads only
-    its own slot before overwriting it. With [reactive.dt <= 0] the slots
-    are zeroed, matching {!cap_currents}. *)
+(** [cap_currents_into sys ~opts ~x ~reactive ~out] writes each
+    capacitor's branch current at the just-solved point [x] into [out]
+    (length >= n_capacitors), which advances the trapezoidal rule. [out]
+    may alias [reactive.prev_cap_current]: each capacitor reads only its
+    own slot before overwriting it. With [reactive.dt <= 0] the slots are
+    zeroed. *)
 val cap_currents_into :
   t ->
   opts:Options.t ->

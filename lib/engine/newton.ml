@@ -34,30 +34,45 @@ let h_iterations =
   Tel.Histogram.make ~unit_:"iters" ~lo:1.0 ~hi:128.0 ~buckets:14
     "engine.newton.iterations_per_solve"
 
+(* [Float.min]/[Float.max] without their sign-bit C calls on the common
+   path: a strict comparison settles every ordered pair, and only ties
+   (signed zeros) and NaNs fall through to the library functions, whose
+   answer they then are by definition. *)
+let[@inline] fmin x y = if y > x then x else if x > y then y else Float.min x y
+let[@inline] fmax x y = if y > x then y else if x > y then x else Float.max x y
+
 (* shared convergence bookkeeping: apply the clamped update from [x_new]
-   onto [x] and return the worst node-voltage move *)
-let apply_update ~(opts : Options.t) ~n_node_unknowns x x_new =
+   onto [x] and return the worst node-voltage move. [@inline], like
+   [tolerance]: an out-of-line float result is boxed. The bounds sit in
+   float refs, which the compiler keeps unboxed — a bound read straight
+   from [opts] is a boxed field, and a clamp returning it would box
+   every unclamped [dx] too. *)
+let[@inline] apply_update ~(opts : Options.t) ~n_node_unknowns x x_new =
+  let hi = ref opts.max_step_v in
+  let lo = ref (-.opts.max_step_v) in
   let worst = ref 0.0 in
   let clamped = ref 0 in
   for i = 0 to Array.length x - 1 do
     let dx = x_new.(i) -. x.(i) in
     if i < n_node_unknowns then begin
-      let dx_clamped =
-        Float.max (-.opts.max_step_v) (Float.min opts.max_step_v dx)
-      in
+      let dx_clamped = fmax !lo (fmin !hi dx) in
       if dx_clamped <> dx then incr clamped;
       x.(i) <- x.(i) +. dx_clamped;
-      worst := Float.max !worst (Float.abs dx)
+      worst := fmax !worst (Float.abs dx)
     end
     else x.(i) <- x_new.(i)
   done;
   Tel.Counter.add c_clamps !clamped;
   !worst
 
-let tolerance ~(opts : Options.t) x =
-  opts.abstol
-  +. (opts.reltol
-     *. Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 0.0 x)
+(* a loop, not [Array.fold_left]: the fold boxes its float accumulator
+   on every element *)
+let[@inline] tolerance ~(opts : Options.t) x =
+  let m = ref 0.0 in
+  for i = 0 to Array.length x - 1 do
+    m := fmax !m (Float.abs x.(i))
+  done;
+  opts.abstol +. (opts.reltol *. !m)
 
 let record_solve iterations =
   Tel.Counter.incr c_solves;
@@ -156,15 +171,18 @@ let solve_naive sys ~(opts : Options.t) ?deadline_at ~t_now ~reactive ~x0 () =
   iterate 1
 
 (* incremental path: all matrix work happens inside the caller-provided
-   (or one-shot) workspace — zero per-iteration matrix allocation *)
+   (or one-shot) workspace, and an iteration allocates nothing. The
+   controls depend on [t_now] only, so they are evaluated once per
+   solve. *)
 let solve_ws sys ws ~(opts : Options.t) ?deadline_at ~t_now ~reactive ~x0 () =
   let n_node_unknowns = Mna.n_nodes sys - 1 in
   let x = Array.copy x0 in
   let diverge = chaos_diverge () in
+  Mna.eval_controls_into sys ws ~t_now;
   let rec iterate iter =
     check_deadline ~deadline_at ~t_now ~iter;
-    Mna.assemble_into sys ws ~opts ~t_now ~x ~reactive;
-    (match Mna.solve_in_place sys ws ~opts with
+    Mna.assemble_into_pre sys ws ~opts ~x ~reactive;
+    (match Mna.solve_in_place ws ~opts with
     | () -> ()
     | exception L.Singular { row; pivot } ->
       sick_singular ~t_now ~iter ~row ~pivot);

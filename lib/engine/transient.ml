@@ -58,11 +58,19 @@ let make_interps times probe_names probe_values =
     probe_names;
   tbl
 
-let run compiled ?(opts = Options.default) ?deadline_at ~segments ~ics ~probes
-    () =
-  Tel.Counter.incr c_runs;
+type grid = {
+  segments : (float * float) array;
+  seg_start : float array;
+  step_seg : int array;
+  t_prev : float array;
+  points : float array;
+}
+
+(* Two passes of one walk: count the steps, then fill the arrays. Plain
+   loops over local refs, so the walk itself allocates nothing. *)
+let grid ~who (opts : Options.t) segments =
   if not (opts.Options.dt_scale > 0.0) then
-    invalid_arg "Transient.run: dt_scale must be positive";
+    invalid_arg (who ^ ": dt_scale must be positive");
   (* the degradation knob: refine every segment's nominal step uniformly
      without touching the segment plan itself *)
   let segments =
@@ -72,16 +80,57 @@ let run compiled ?(opts = Options.default) ?deadline_at ~segments ~ics ~probes
         segments
   in
   (match segments with
-  | [] -> invalid_arg "Transient.run: no segments"
+  | [] -> invalid_arg (who ^ ": no segments")
   | _ ->
     ignore
       (List.fold_left
          (fun t_prev (t_end, dt) ->
-           if dt <= 0.0 then invalid_arg "Transient.run: dt <= 0";
+           if dt <= 0.0 then invalid_arg (who ^ ": dt <= 0");
            if t_end <= t_prev then
-             invalid_arg "Transient.run: segment ends must increase";
+             invalid_arg (who ^ ": segment ends must increase");
            t_end)
          0.0 segments));
+  let segments = Array.of_list segments in
+  let n_segs = Array.length segments in
+  let n_steps = ref 0 and t = ref 0.0 in
+  for si = 0 to n_segs - 1 do
+    let t_end, dt = segments.(si) in
+    while !t < t_end -. (dt /. 2.0) do
+      t := Float.min t_end (!t +. dt);
+      incr n_steps
+    done;
+    t := Float.max !t t_end
+  done;
+  let step_seg = Array.make !n_steps 0 in
+  let t_prev = Array.make !n_steps 0.0 in
+  let points = Array.make (!n_steps + 1) 0.0 in
+  let k = ref 0 in
+  t := 0.0;
+  for si = 0 to n_segs - 1 do
+    let t_end, dt = segments.(si) in
+    while !t < t_end -. (dt /. 2.0) do
+      let t_next = Float.min t_end (!t +. dt) in
+      step_seg.(!k) <- si;
+      t_prev.(!k) <- !t;
+      points.(!k + 1) <- t_next;
+      incr k;
+      t := t_next
+    done;
+    t := Float.max !t t_end
+  done;
+  {
+    segments;
+    seg_start =
+      Array.init n_segs (fun si -> if si = 0 then 0.0 else fst segments.(si - 1));
+    step_seg;
+    t_prev;
+    points;
+  }
+
+let run compiled ?(opts = Options.default) ?deadline_at ~segments ~ics ~probes
+    () =
+  Tel.Counter.incr c_runs;
+  let grid = grid ~who:"Transient.run" opts segments in
   let sys = Mna.make compiled in
   let ws = Mna.make_workspace sys in
   let n_nodes = Mna.n_nodes sys in
@@ -114,16 +163,19 @@ let run compiled ?(opts = Options.default) ?deadline_at ~segments ~ics ~probes
     ref (Newton.solve sys ~ws ?deadline_at ~opts ~t_now:0.0
            ~reactive:reactive0 ~x0:(Mna.pack sys v) ())
   in
-  let prev_v = ref (Mna.voltages sys !x) in
-  let prev_cap =
-    ref (Mna.cap_currents sys ~opts ~x:!x ~reactive:reactive0)
+  (* the accepted state, updated in place on every accepted step *)
+  let prev_v = Mna.voltages sys !x in
+  let prev_cap = Array.make (Mna.n_capacitors sys) 0.0 in
+  Mna.cap_currents_into sys ~opts ~x:!x ~reactive:reactive0 ~out:prev_cap;
+  let times = grid.points in
+  let n_probes = Array.length probe_ids in
+  let probe_values = Array.make_matrix n_probes (Array.length times) 0.0 in
+  let record pt =
+    for p = 0 to n_probes - 1 do
+      probe_values.(p).(pt) <- prev_v.(probe_ids.(p))
+    done
   in
-  let times = ref [ 0.0 ] in
-  let samples = ref [ Array.map (fun id -> !prev_v.(id)) probe_ids ] in
-  let record t =
-    times := t :: !times;
-    samples := Array.map (fun id -> !prev_v.(id)) probe_ids :: !samples
-  in
+  record 0;
   let max_retries = 4 in
   (* one accepted step from the current state to t_next, with halving
      retries on Newton failure; an exhausted retry budget surfaces as
@@ -131,17 +183,19 @@ let run compiled ?(opts = Options.default) ?deadline_at ~segments ~ics ~probes
   let advance ~seg_start ~seg_end t_prev t_next =
     let rec attempt t_prev dt retries =
       let t_now = t_prev +. dt in
-      let reactive =
-        { Mna.dt; prev_v = !prev_v; prev_cap_current = !prev_cap }
-      in
+      let reactive = { Mna.dt; prev_v; prev_cap_current = prev_cap } in
       match Newton.solve sys ~ws ?deadline_at ~opts ~t_now ~reactive ~x0:!x ()
       with
       | x_new ->
         Tel.Counter.incr c_accepted;
         Tel.Histogram.observe h_dt dt;
         x := x_new;
-        prev_cap := Mna.cap_currents sys ~opts ~x:x_new ~reactive;
-        prev_v := Mna.voltages sys x_new;
+        (* [prev_cap] is read and overwritten slot by slot; [prev_v]
+           still holds the previous point until the loop below *)
+        Mna.cap_currents_into sys ~opts ~x:x_new ~reactive ~out:prev_cap;
+        for n = 1 to n_nodes - 1 do
+          prev_v.(n) <- x_new.(n - 1)
+        done;
         if t_now >= t_next -. 1e-21 then ()
         else attempt t_now (t_next -. t_now) retries
       | exception Newton.No_convergence { t; iterations; worst } ->
@@ -165,37 +219,28 @@ let run compiled ?(opts = Options.default) ?deadline_at ~segments ~ics ~probes
     in
     attempt t_prev (t_next -. t_prev) max_retries
   in
-  let t = ref 0.0 in
-  ignore
-    (List.fold_left
-       (fun seg_start (t_end, dt) ->
-         Tel.with_span "transient.segment"
-           ~attrs:(fun () ->
-             [ ("t_start", Tel.Float seg_start);
-               ("t_end", Tel.Float t_end);
-               ("dt", Tel.Float dt) ])
-           (fun () ->
-             while !t < t_end -. (dt /. 2.0) do
-               let t_next = Float.min t_end (!t +. dt) in
-               advance ~seg_start ~seg_end:t_end !t t_next;
-               t := t_next;
-               record !t
-             done;
-             t := Float.max !t t_end);
-         t_end)
-       0.0 segments);
-  let times_arr = Array.of_list (List.rev !times) in
-  let n_pts = Array.length times_arr in
-  let samples_arr = Array.of_list (List.rev !samples) in
-  let probe_values =
-    Array.init (Array.length probe_ids) (fun i ->
-        Array.init n_pts (fun k -> samples_arr.(k).(i)))
-  in
+  let n_steps = Array.length grid.t_prev in
+  let k = ref 0 in
+  Array.iteri
+    (fun si (t_end, dt) ->
+      let seg_start = grid.seg_start.(si) in
+      Tel.with_span "transient.segment"
+        ~attrs:(fun () ->
+          [ ("t_start", Tel.Float seg_start);
+            ("t_end", Tel.Float t_end);
+            ("dt", Tel.Float dt) ])
+        (fun () ->
+          while !k < n_steps && grid.step_seg.(!k) = si do
+            advance ~seg_start ~seg_end:t_end grid.t_prev.(!k) times.(!k + 1);
+            incr k;
+            record !k
+          done))
+    grid.segments;
   let probe_names = Array.of_list probes in
   {
-    times = times_arr;
+    times;
     probe_names;
     probe_values;
-    final_v = !prev_v;
-    probe_interps = make_interps times_arr probe_names probe_values;
+    final_v = prev_v;
+    probe_interps = make_interps times probe_names probe_values;
   }

@@ -43,6 +43,24 @@ val make_interps :
   float array array ->
   (string, Dramstress_util.Interp.t) Hashtbl.t
 
+(** The accepted-time grid of a segment plan: every step's start and end
+    time, computed once up front. {!Ensemble} integrates on the same
+    grid, so its lanes accept exactly the time points of {!run}. *)
+type grid = {
+  segments : (float * float) array;
+  (** the [(t_end, dt)] plan after [opts.dt_scale] *)
+  seg_start : float array;  (** per segment: its start time, s *)
+  step_seg : int array;     (** per step: the index of its segment *)
+  t_prev : float array;     (** per step: the time it starts from, s *)
+  points : float array;
+  (** accepted times: [0.0], then step [k] ends at [points.(k + 1)] *)
+}
+
+(** [grid ~who opts segments] validates the plan (the errors are
+    prefixed with [who]), applies [opts.dt_scale] and walks it. Exposed
+    for {!Ensemble}. *)
+val grid : who:string -> Options.t -> (float * float) list -> grid
+
 (** [probe result name] is the sampled waveform of a probe as an
     interpolating curve. Raises [Not_found] for unknown probes. *)
 val probe : result -> string -> Dramstress_util.Interp.t

@@ -972,7 +972,9 @@ let test_service_slowloris_dropped () =
 
 (* enough electrical work (4 points, fine grid, tight tolerance) that a
    submission reliably holds its admission slot while the test pokes
-   the server from other connections *)
+   the server from other connections — the graceful-drain test needs it
+   still in flight 0.3 s after shutdown. The work is sized in grid
+   points: a faster engine needs more of them. *)
 let slow_manifest =
   {|
 (campaign
@@ -981,7 +983,7 @@ let slow_manifest =
   (stress nominal)
   (stress low-vdd (vdd 2.1))
   (detections (seq "w1 w1 w0 r0"))
-  (border (r-min 1e4) (r-max 1e8) (grid-points 9) (rel-tol 0.01)))
+  (border (r-min 1e4) (r-max 1e8) (grid-points 33) (rel-tol 0.01)))
 |}
 
 (* wait until the server has admitted a submission AND is simulating:

@@ -171,6 +171,71 @@ let prop_current_sign =
       else if vds < -1e-9 then e.M.id <= 0.0
       else Float.abs e.M.id < 1e-9)
 
+(* The drain-current expression as it was written before the
+   temperature terms were hoisted out of it: the reference the hoisted
+   evaluator must match bit for bit. *)
+let reference_ids (m : M.model) ~temp ~vgs ~vds =
+  let softplus u =
+    if u > 30.0 then u else if u < -30.0 then exp u else log1p (exp u)
+  in
+  let sigmoid u =
+    if u > 30.0 then 1.0
+    else if u < -30.0 then exp u
+    else 1.0 /. (1.0 +. exp (-.u))
+  in
+  let sgn = match m.M.polarity with M.Nmos -> 1.0 | M.Pmos -> -1.0 in
+  let vgs_n = sgn *. vgs and vds_n = sgn *. vds in
+  let reversed = vds_n < 0.0 in
+  let vgs_f = if reversed then vgs_n -. vds_n else vgs_n in
+  let vds_f = if reversed then -.vds_n else vds_n in
+  let vt_th = Dramstress_util.Units.thermal_voltage temp in
+  let n = m.M.n_sub in
+  let kp = m.M.kp *. ((temp /. m.M.t_ref) ** -.m.M.mu_exp) in
+  let vth = m.M.vt0 -. (m.M.vt_tc *. (temp -. m.M.t_ref)) in
+  let vp = (vgs_f -. vth) /. n in
+  let scale = 2.0 *. n *. kp *. vt_th *. vt_th in
+  let uf = vp /. (2.0 *. vt_th) in
+  let ur = (vp -. vds_f) /. (2.0 *. vt_th) in
+  let ff = softplus uf and fr = softplus ur in
+  let i_f = ff *. ff and i_r = fr *. fr in
+  let clm = 1.0 +. (m.M.lambda *. vds_f) in
+  let id_f = scale *. (i_f -. i_r) *. clm in
+  let dif_dvp = ff *. sigmoid uf /. vt_th in
+  let dir_dvp = fr *. sigmoid ur /. vt_th in
+  let gm_f = scale *. clm *. (dif_dvp -. dir_dvp) /. n in
+  let gds_f =
+    (scale *. clm *. (fr *. sigmoid ur /. vt_th))
+    +. (scale *. (i_f -. i_r) *. m.M.lambda)
+  in
+  let id_n = if reversed then -.id_f else id_f in
+  let gm_n = if reversed then -.gm_f else gm_f in
+  let gds_n = if reversed then gm_f +. gds_f else gds_f in
+  (sgn *. id_n, gm_n, gds_n)
+
+(* one register record for every case: stale outputs of the previous
+   evaluation must never leak into the next *)
+let shared_bias = M.bias ()
+
+(* vgs, vds over +-3 V reach reverse bias and both |u| > 30 branches of
+   softplus/sigmoid; temperatures span -40 C .. 100 C *)
+let prop_hoisted_evaluator_parity =
+  QCheck.Test.make ~count:2000
+    ~name:"hoisted evaluator = ids = reference, bit for bit"
+    QCheck.(
+      quad bool (float_range (-3.0) 3.0) (float_range (-3.0) 3.0)
+        (float_range 233.0 373.0))
+    (fun (is_nmos, vgs, vds, temp) ->
+      let m = if is_nmos then nmos else pmos in
+      let b = shared_bias in
+      b.M.vgs <- vgs;
+      b.M.vds <- vds;
+      M.evaluate (M.terms m ~temp) b;
+      let e = M.ids m ~temp ~vgs ~vds in
+      let r_id, r_gm, r_gds = reference_ids m ~temp ~vgs ~vds in
+      let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+      same b.M.i_d e.M.id && same b.M.g_m e.M.gm && same b.M.g_ds e.M.gds
+      && same e.M.id r_id && same e.M.gm r_gm && same e.M.gds r_gds)
+
 (* ------------------------------------------------------------------ *)
 (* Netlist                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -428,6 +493,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_gm_matches_fd;
           QCheck_alcotest.to_alcotest prop_gds_matches_fd;
           QCheck_alcotest.to_alcotest prop_current_sign;
+          QCheck_alcotest.to_alcotest prop_hoisted_evaluator_parity;
         ] );
       ( "spice",
         [

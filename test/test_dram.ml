@@ -876,6 +876,97 @@ let prop_open_residual_monotone =
       in
       residual (r *. factor) >= residual r -. 5e-3)
 
+(* ------------------------------------------------------------------ *)
+(* Allocation tripwires                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* The Newton iteration allocates nothing: these pin that down on the
+   real column, so a later change that boxes a float in the hot loop
+   fails here instead of silently costing minor collections. Native
+   code only — bytecode boxes every float. *)
+
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+(* words allocated by [f] beyond the measurement itself *)
+let allocated f = minor_words f -. minor_words ignore
+
+let skip_unless_native () =
+  if Sys.backend_type <> Sys.Native then Alcotest.skip ()
+
+(* the built O1 column at nominal supply, its workspace with controls
+   evaluated at 1 ns, and a backward-Euler step from the initial
+   conditions *)
+let column_workspace () =
+  let built =
+    Dramstress_dram.Column.build ~tech:T.default ~vdd:2.4
+      ~controls:Dramstress_dram.Column.idle_controls
+      ~defect:(D.v (D.Open_cell D.At_bitline_contact) D.True_bl 200e3)
+      ()
+  in
+  let sys = E.Mna.make built.Dramstress_dram.Column.compiled in
+  let ws = E.Mna.make_workspace sys in
+  let v = Array.make (E.Mna.n_nodes sys) 0.0 in
+  List.iter
+    (fun (name, value) ->
+      v.(Dramstress_circuit.Netlist.compiled_node
+           built.Dramstress_dram.Column.compiled name) <- value)
+    (Dramstress_dram.Column.initial_conditions built ~vdd:2.4 ~vc_init:2.4
+       ~v_neighbour:2.4);
+  let reactive =
+    { (E.Mna.init_reactive sys ~prev_v:v) with E.Mna.dt = 150e-12 }
+  in
+  E.Mna.eval_controls_into sys ws ~t_now:1e-9;
+  (sys, ws, reactive, E.Mna.pack sys v)
+
+let test_assembly_allocates_nothing () =
+  skip_unless_native ();
+  let sys, ws, reactive, x = column_workspace () in
+  let opts = E.Options.default in
+  (* the first call builds the template and the MOSFET terms *)
+  E.Mna.assemble_into_pre sys ws ~opts ~x ~reactive;
+  let words =
+    allocated (fun () ->
+        for _ = 1 to 100 do
+          E.Mna.assemble_into_pre sys ws ~opts ~x ~reactive
+        done)
+  in
+  Alcotest.(check (float 0.0)) "minor words per assembly" 0.0 (words /. 100.0)
+
+let test_converged_solve_allocates_result_only () =
+  skip_unless_native ();
+  let sys, ws, reactive, x0 = column_workspace () in
+  let opts = E.Options.default in
+  let solve x0 =
+    E.Newton.solve sys ~ws ~opts ~t_now:1e-9 ~reactive ~x0 ()
+  in
+  (* from the converged point the next solve stops after one iteration *)
+  let x = solve x0 in
+  let iterations () =
+    let snap = Dramstress_util.Telemetry.snapshot () in
+    Option.value ~default:0
+      (List.assoc_opt "engine.newton.iterations"
+         snap.Dramstress_util.Telemetry.counters)
+  in
+  let was_enabled = Dramstress_util.Telemetry.enabled () in
+  Dramstress_util.Telemetry.set_enabled true;
+  let before = iterations () in
+  ignore (solve x);
+  let one = iterations () - before in
+  Dramstress_util.Telemetry.set_enabled was_enabled;
+  Alcotest.(check int) "one iteration" 1 one;
+  let words = allocated (fun () -> ignore (solve x)) in
+  (* the returned vector is [size] floats plus a header word; the rest is
+     per-solve bookkeeping (the iteration closure, the option wrapper of
+     [~ws], the iteration-count histogram sample) *)
+  let result_words = float_of_int (E.Mna.size sys + 1) in
+  let small_constant = 32.0 in
+  if words > result_words +. small_constant then
+    Alcotest.failf "converged solve allocated %.0f minor words (limit %.0f + %.0f)"
+      words result_words small_constant
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "dramstress_dram"
@@ -965,6 +1056,12 @@ let () =
           tc "coupled hammer disturbs the victim" test_couple_hammer_disturb;
           tc "batch parity under every extension hook"
             test_batch_matches_scalar_extended_stress;
+        ] );
+      ( "allocation",
+        [
+          tc "assembly allocates nothing" test_assembly_allocates_nothing;
+          tc "converged solve allocates its result only"
+            test_converged_solve_allocates_result_only;
         ] );
       ( "properties",
         [
