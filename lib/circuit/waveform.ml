@@ -44,10 +44,8 @@ let pwl_steps ~t_edge v0 steps =
     let start = if t0 > 0.0 then [ (0.0, v0) ] else [] in
     pwl (start @ build v0 [] steps)
 
-(* Evaluation is written so that in [eval_into] the value flows straight
-   into the destination array: the helpers are [@inline] and the PWL
-   searches are closed top-level functions rather than closures over
-   [t], so evaluating a control allocates nothing. *)
+(* Evaluation is [@inline] so that in [eval_into] the value flows
+   straight into the destination array instead of being boxed. *)
 let[@inline] eval_pulse p t =
   if t < p.delay then p.v0
   else begin
@@ -67,29 +65,24 @@ let[@inline] eval_pulse p t =
     else p.v0
   end
 
-(* A PWL value inside the breakpoint range lies on the segment [i] with
-   [fst arr.(i) <= t < fst arr.(i + 1)]. Breakpoints strictly increase,
-   so that segment is unique: bisection and a forward walk from an
-   earlier segment find the same [i], and so the same value. *)
-let rec pwl_bisect arr t lo hi =
+(* top-level rather than a closure over [t], so a lookup allocates
+   nothing *)
+let rec pwl_find arr t lo hi =
   if hi - lo <= 1 then lo
   else begin
     let m = (lo + hi) / 2 in
-    if fst arr.(m) <= t then pwl_bisect arr t m hi else pwl_bisect arr t lo m
+    if fst arr.(m) <= t then pwl_find arr t m hi else pwl_find arr t lo m
   end
-
-let rec pwl_forward arr t i =
-  if fst arr.(i + 1) <= t then pwl_forward arr t (i + 1) else i
-
-let[@inline] pwl_lerp arr t i =
-  let t0, v0 = arr.(i) and t1, v1 = arr.(i + 1) in
-  v0 +. ((v1 -. v0) *. (t -. t0) /. (t1 -. t0))
 
 let[@inline] eval_pwl arr t =
   let n = Array.length arr in
   if t <= fst arr.(0) then snd arr.(0)
   else if t >= fst arr.(n - 1) then snd arr.(n - 1)
-  else pwl_lerp arr t (pwl_bisect arr t 0 (n - 1))
+  else begin
+    let i = pwl_find arr t 0 (n - 1) in
+    let t0, v0 = arr.(i) and t1, v1 = arr.(i + 1) in
+    v0 +. ((v1 -. v0) *. (t -. t0) /. (t1 -. t0))
+  end
 
 let[@inline] eval w t =
   match w with
@@ -97,30 +90,7 @@ let[@inline] eval w t =
   | Pulse p -> eval_pulse p t
   | Pwl arr -> eval_pwl arr t
 
-(* [eval_pwl] starting from the segment [hint.(i)] found last time: a
-   caller stepping [t] forward moves at most a segment or two, where a
-   bisection over every breakpoint costs a mispredicted branch per
-   level *)
-let[@inline] eval_pwl_hinted arr t hint i =
-  let n = Array.length arr in
-  if t <= fst arr.(0) then snd arr.(0)
-  else if t >= fst arr.(n - 1) then snd arr.(n - 1)
-  else begin
-    let h = hint.(i) in
-    let seg =
-      if h >= 0 && h < n - 1 && fst arr.(h) <= t then pwl_forward arr t h
-      else pwl_bisect arr t 0 (n - 1)
-    in
-    hint.(i) <- seg;
-    pwl_lerp arr t seg
-  end
-
-let eval_into w t ~hint out i =
-  out.(i) <-
-    (match w with
-    | Dc v -> v
-    | Pulse p -> eval_pulse p t
-    | Pwl arr -> eval_pwl_hinted arr t hint i)
+let eval_into w t out i = out.(i) <- eval w t
 
 let shift dt = function
   | Dc v -> Dc v

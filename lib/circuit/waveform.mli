@@ -23,13 +23,10 @@ and pulse = {
 (** [eval w t] is the waveform value at time [t]. *)
 val eval : t -> float -> float
 
-(** [eval_into w t ~hint out i] stores [eval w t] in [out.(i)] without
+(** [eval_into w t out i] stores [eval w t] in [out.(i)] without
     allocating — the spelling for hot loops, where a returned float
-    would be boxed. [hint.(i)] remembers the PWL segment of the previous
-    call, so a caller stepping [t] forward finds the next one in
-    constant time instead of bisecting; any value in [hint.(i)] gives the
-    same result, only the lookup cost changes. *)
-val eval_into : t -> float -> hint:int array -> float array -> int -> unit
+    would be boxed. *)
+val eval_into : t -> float -> float array -> int -> unit
 
 (** [dc v] is [Dc v]. *)
 val dc : float -> t

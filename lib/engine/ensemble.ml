@@ -192,7 +192,7 @@ let run compiled ?(opts = Options.default) ~segments ~lanes ~probes () =
               ~g:override_g.(li);
           match
             Mna.assemble_into_pre sys ws ~opts ~x ~reactive:reacts.(li);
-            (match Mna.solve_in_place ws ~opts with
+            (match Mna.solve_in_place sys ws ~opts with
             | () -> ()
             | exception L.Singular { row; pivot } ->
               Newton.sick_singular ~t_now ~iter ~row ~pivot);

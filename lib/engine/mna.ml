@@ -347,11 +347,6 @@ type workspace = {
   sw_g : float array;
   vs_v : float array;
   is_i : float array;
-  (* per control, the PWL segment it was last evaluated on
-     ([Waveform.eval_into]'s hint) *)
-  sw_hint : int array;
-  vs_hint : int array;
-  is_hint : int array;
   (* per-MOSFET temperature terms for [mos_temp], rebuilt when the
      temperature changes (like the template on dt), and the evaluation
      registers every MOSFET stamp reuses *)
@@ -360,20 +355,11 @@ type workspace = {
   bias : C.Mosfet.bias;
   perm : int array;
   scratch : float array;
-  (* per row, the structural columns ([structural_pattern]): the only
-     entries any stamp writes, so the only ones a template copy must
-     refresh while [mat] holds nothing but stamps *)
-  pattern : bool array array;
-  pattern_cols : int array array;
-  (* the dense oracle LU factors [mat] in place, leaving fill-in off the
-     pattern; the next copy is then a full one *)
-  mutable mat_dirty : bool;
   mutable slu : Sp.t option;  (* lazily built on the first sparse solve *)
 }
 
 let make_workspace sys =
   let n = sys.size in
-  let pattern = structural_pattern sys in
   {
     w_size = n;
     mat = L.create n n;
@@ -389,22 +375,11 @@ let make_workspace sys =
     sw_g = Array.make (Array.length sys.switches) 0.0;
     vs_v = Array.make (Array.length sys.vsrcs) 0.0;
     is_i = Array.make (Array.length sys.isrcs) 0.0;
-    sw_hint = Array.make (Array.length sys.switches) 0;
-    vs_hint = Array.make (Array.length sys.vsrcs) 0;
-    is_hint = Array.make (Array.length sys.isrcs) 0;
     mos_terms = [||];
     mos_temp = Float.nan;
     bias = C.Mosfet.bias ();
     perm = Array.make n 0;
     scratch = Array.make n 0.0;
-    pattern;
-    pattern_cols =
-      Array.map
-        (fun row ->
-          Array.of_list
-            (List.filter (fun j -> row.(j)) (List.init n Fun.id)))
-        pattern;
-    mat_dirty = false;
     slu = None;
   }
 
@@ -457,14 +432,14 @@ let rebuild_template sys ws ~(opts : Options.t) ~dt =
 let eval_controls_into sys ws ~t_now =
   for i = 0 to Array.length sys.switches - 1 do
     let p = sys.switches.(i) in
-    C.Waveform.eval_into p.ctrl t_now ~hint:ws.sw_hint ws.sw_g i;
+    C.Waveform.eval_into p.ctrl t_now ws.sw_g i;
     ws.sw_g.(i) <- (if ws.sw_g.(i) > p.threshold then p.g_on else p.g_off)
   done;
   for i = 0 to Array.length sys.vsrcs - 1 do
-    C.Waveform.eval_into sys.vsrcs.(i).v_wave t_now ~hint:ws.vs_hint ws.vs_v i
+    C.Waveform.eval_into sys.vsrcs.(i).v_wave t_now ws.vs_v i
   done;
   for i = 0 to Array.length sys.isrcs - 1 do
-    C.Waveform.eval_into sys.isrcs.(i).i_wave t_now ~hint:ws.is_hint ws.is_i i
+    C.Waveform.eval_into sys.isrcs.(i).i_wave t_now ws.is_i i
   done
 
 (* assembly from pre-evaluated controls ([eval_controls_into]) *)
@@ -498,20 +473,9 @@ let assemble_into_pre sys ws ~(opts : Options.t) ~x ~reactive =
     ws.mos_temp <- opts.temp
   end;
   let mat = ws.mat and rhs = ws.rhs in
-  if ws.mat_dirty then begin
-    for i = 0 to n - 1 do
-      Array.blit ws.tmpl.(i) 0 mat.(i) 0 n
-    done;
-    ws.mat_dirty <- false
-  end
-  else
-    for i = 0 to n - 1 do
-      let src = ws.tmpl.(i) and dst = mat.(i) and cols = ws.pattern_cols.(i) in
-      for jj = 0 to Array.length cols - 1 do
-        let j = Array.unsafe_get cols jj in
-        Array.unsafe_set dst j (Array.unsafe_get src j)
-      done
-    done;
+  for i = 0 to n - 1 do
+    Array.blit ws.tmpl.(i) 0 mat.(i) 0 n
+  done;
   Array.fill rhs 0 n 0.0;
   (if ws.excluded_res >= 0 then
      let p = sys.resistors.(ws.excluded_res) in
@@ -569,7 +533,7 @@ let assemble_into_pre sys ws ~(opts : Options.t) ~x ~reactive =
 
 module Chaos = Dramstress_util.Chaos
 
-let solve_in_place ws ~(opts : Options.t) =
+let solve_in_place sys ws ~(opts : Options.t) =
   record_factor_solve ();
   if Chaos.armed () && Chaos.fire Chaos.Perturb_jacobian then
     (* zero a row: crisply rank-deficient, so the factorization's pivot
@@ -579,7 +543,6 @@ let solve_in_place ws ~(opts : Options.t) =
     (* golden oracle: the dense in-place LU with per-factor partial
        pivoting, selected like [naive_assembly] selects the reference
        assembly *)
-    ws.mat_dirty <- true;
     let lu = L.lu_factor_in_place ws.mat ~perm:ws.perm in
     L.lu_solve_in_place lu ~scratch:ws.scratch ws.rhs
   end
@@ -588,7 +551,7 @@ let solve_in_place ws ~(opts : Options.t) =
       match ws.slu with
       | Some s -> s
       | None ->
-        let s = Sp.make ~n:ws.w_size ~pattern:ws.pattern in
+        let s = Sp.make ~n:ws.w_size ~pattern:(structural_pattern sys) in
         ws.slu <- Some s;
         s
     in

@@ -133,7 +133,7 @@ val assemble_into_pre :
   reactive:reactive ->
   unit
 
-(** [solve_in_place ws ~opts] factors the assembled matrix and
+(** [solve_in_place sys ws ~opts] factors the assembled matrix and
     overwrites the assembled RHS with the solution ({!solution}). The
     default path is the sparsity-aware factorization
     ({!Dramstress_util.Sparse_lu}) reusing one symbolic analysis per
@@ -142,7 +142,7 @@ val assemble_into_pre :
     golden oracle, selected exactly like [naive_assembly]. Raises
     [Dramstress_util.Linalg.Singular] on a rank-deficient (or
     non-finite) system. *)
-val solve_in_place : workspace -> opts:Options.t -> unit
+val solve_in_place : t -> workspace -> opts:Options.t -> unit
 
 (** [solution ws] is the workspace RHS buffer, holding the solution
     after {!solve_in_place}. The array is reused by the next

@@ -182,7 +182,7 @@ let solve_ws sys ws ~(opts : Options.t) ?deadline_at ~t_now ~reactive ~x0 () =
   let rec iterate iter =
     check_deadline ~deadline_at ~t_now ~iter;
     Mna.assemble_into_pre sys ws ~opts ~x ~reactive;
-    (match Mna.solve_in_place ws ~opts with
+    (match Mna.solve_in_place sys ws ~opts with
     | () -> ()
     | exception L.Singular { row; pivot } ->
       sick_singular ~t_now ~iter ~row ~pivot);

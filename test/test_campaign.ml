@@ -972,9 +972,7 @@ let test_service_slowloris_dropped () =
 
 (* enough electrical work (4 points, fine grid, tight tolerance) that a
    submission reliably holds its admission slot while the test pokes
-   the server from other connections — the graceful-drain test needs it
-   still in flight 0.3 s after shutdown. The work is sized in grid
-   points: a faster engine needs more of them. *)
+   the server from other connections *)
 let slow_manifest =
   {|
 (campaign
@@ -983,7 +981,7 @@ let slow_manifest =
   (stress nominal)
   (stress low-vdd (vdd 2.1))
   (detections (seq "w1 w1 w0 r0"))
-  (border (r-min 1e4) (r-max 1e8) (grid-points 33) (rel-tol 0.01)))
+  (border (r-min 1e4) (r-max 1e8) (grid-points 9) (rel-tol 0.01)))
 |}
 
 (* wait until the server has admitted a submission AND is simulating:
@@ -1005,8 +1003,40 @@ let await_submission_started ~socket =
   in
   go 1000
 
+(* [with_engine_held f] parks every engine thread at the end of its first
+   [ops.*] span until [f] calls [release] (or returns): a submission
+   stays in flight for as long as the test needs, however fast the
+   engine runs. The service enables telemetry, so the spans reach the
+   sink; no client or connection thread emits spans, so only the engine
+   waits. *)
+let with_engine_held f =
+  let m = Mutex.create () and c = Condition.create () and held = ref true in
+  let engine_span (ev : Tel.event) =
+    String.length ev.name >= 4 && String.sub ev.name 0 4 = "ops."
+  in
+  Tel.set_sink
+    (Tel.Sink.custom (fun ev ->
+         if engine_span ev then begin
+           Mutex.lock m;
+           while !held do
+             Condition.wait c m
+           done;
+           Mutex.unlock m
+         end));
+  let release () =
+    Mutex.protect m (fun () ->
+        held := false;
+        Condition.broadcast c)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      release ();
+      Tel.close_sink ())
+    (fun () -> f ~release)
+
 let test_service_admission_busy () =
   with_service ~max_active:1 ~queue:0 @@ fun ~socket ->
+  with_engine_held @@ fun ~release ->
   O.clear_cache ();
   let busy_before = counter_value "campaign.service.busy_rejections" in
   let slow_result = ref None in
@@ -1031,6 +1061,7 @@ let test_service_admission_busy () =
   | Pr.Status_report _ -> ()
   | _ -> Alcotest.fail "status must answer while the slot is held");
   (* a backoff-retrying client converges once the slot frees up *)
+  release ();
   (match
      Svc.Client.submit_retrying ~attempts:60 ~delay:0.05 ~socket run_manifest
    with
@@ -1048,6 +1079,7 @@ let test_service_admission_busy () =
 
 let test_service_graceful_drain () =
   with_service @@ fun ~socket ->
+  with_engine_held @@ fun ~release ->
   O.clear_cache ();
   let draining_before = counter_value "campaign.service.draining_rejections" in
   let slow_result = ref None in
@@ -1072,6 +1104,7 @@ let test_service_graceful_drain () =
   Alcotest.(check bool) "draining_rejections counted" true
     (counter_value "campaign.service.draining_rejections" > draining_before);
   (* the in-flight submission finishes cleanly — drain, not abort *)
+  release ();
   Thread.join slow;
   (match !slow_result with
   | Some (Ok o) ->

@@ -77,6 +77,50 @@ let test_breakpoints () =
     (W.breakpoints ~until:100.0 p);
   Alcotest.(check (list (float 1e-9))) "dc" [] (W.breakpoints ~until:1.0 (W.dc 1.0))
 
+(* [eval_into] stores exactly [eval]'s value and, in native code, boxes
+   nothing: the engine evaluates every control through it once per time
+   point *)
+let test_eval_into () =
+  let waves =
+    [|
+      W.dc 2.4;
+      W.pulse ~period:20.0 ~v0:0.0 ~v1:1.0 ~delay:1.0 ~rise:1.0 ~width:4.0
+        ~fall:1.0 ();
+      W.pwl_steps ~t_edge:1.0 0.0 [ (10.0, 2.0); (20.0, 0.5); (30.0, 1.5) ];
+    |]
+  in
+  let out = Array.make (Array.length waves) 0.0 in
+  (* list elements are already boxed, so passing them on allocates
+     nothing of the measurement's own *)
+  let times = List.init 401 (fun k -> float_of_int k *. 0.1) in
+  let rec sweep = function
+    | [] -> ()
+    | t :: rest ->
+      for i = 0 to Array.length waves - 1 do
+        W.eval_into waves.(i) t out i
+      done;
+      sweep rest
+  in
+  List.iter
+    (fun t ->
+      Array.iteri
+        (fun i w ->
+          W.eval_into w t out i;
+          Alcotest.(check int64) "bits of eval"
+            (Int64.bits_of_float (W.eval w t))
+            (Int64.bits_of_float out.(i)))
+        waves)
+    times;
+  if Sys.backend_type = Sys.Native then begin
+    let words f =
+      let before = Gc.minor_words () in
+      f ();
+      Gc.minor_words () -. before
+    in
+    let w = words (fun () -> sweep times) -. words ignore in
+    Alcotest.(check (float 0.0)) "minor words" 0.0 w
+  end
+
 let prop_pulse_bounded =
   QCheck.Test.make ~count:200 ~name:"pulse value stays within [v0, v1]"
     QCheck.(float_range 0.0 100.0)
@@ -478,6 +522,7 @@ let () =
           tc "pwl_steps" test_pwl_steps;
           tc "shift" test_shift;
           tc "breakpoints" test_breakpoints;
+          tc "eval_into matches eval, allocation-free" test_eval_into;
           QCheck_alcotest.to_alcotest prop_pulse_bounded;
         ] );
       ( "mosfet",
