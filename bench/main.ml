@@ -319,16 +319,16 @@ let perf_engine_ab () =
   let step_fast = step_ns sim_fast in
   (* --- allocation budget of the incremental path ------------------- *)
   (* Acceptance check: a Newton iteration allocates nothing (DESIGN.md,
-     "Engine hot loop"), so what a scalar run allocates per accepted
-     point is per-solve bookkeeping: the solve's returned state vector
-     (n + 1 words, n = 20 for the column), its iteration closure and the
-     step's reactive record, plus the run's fixed set-up spread over its
-     points. One boxed float per MOSFET stamp, or one fresh n x n system,
-     would add hundreds of words per iteration and at least two
-     iterations run per point. The limit is the measured figure plus 10%
-     headroom, the same rule as the per-lane limit below; the naive path
-     measures far above it. *)
-  let alloc_limit = 127.0 in
+     "Engine hot loop"), so what a one-lane run allocates per accepted
+     point is the run's fixed set-up (column, stamp plans, workspace,
+     sample rows) spread over its points, plus a few words per time
+     point: the step's reactive record and the boxed time and step size
+     handed to the lane loop. One boxed float per MOSFET stamp, or one
+     fresh n x n system, would add hundreds of words per iteration and
+     at least two iterations run per point. The limit is the measured
+     figure plus 10% headroom, the same rule as the per-lane limit
+     below; the naive path measures far above it. *)
+  let alloc_limit = 64.0 in
   let words_per_point sim =
     let w0 = Gc.minor_words () in
     ignore (O.run ~sim ~stress:nominal ~defect ~vc_init:2.4 [ O.W0 ]);
@@ -340,11 +340,11 @@ let perf_engine_ab () =
   (* --- fig2-style plane sweep -------------------------------------- *)
   let rops = Dramstress_util.Grid.logspace 1e3 1e6 4 in
   (* the naive/incremental A/B is pinned to one lane so its meaning is
-     unchanged by the ensemble engine: both sides sweep the plane one
-     scalar transient at a time, and the speedup isolates the
+     unchanged by batching: both sides sweep the plane one point per
+     run, and the speedup isolates the
      assembly/caching wins exactly as before. The batched measurement
      below lifts the lane pin. *)
-  let scalar_cfg = Sc.v ~lanes:1 () in
+  let one_lane_cfg = Sc.v ~lanes:1 () in
   let batched_cfg = Sc.v ~lanes:16 () in
   let plane_sweep ~config sim () =
     (* the full Figure 2 plane set: w0 and w1 write planes plus the read
@@ -362,16 +362,16 @@ let perf_engine_ab () =
          ~kind:open_kind ~placement:D.True_bl ())
   in
   O.set_caching false;
-  let plane_naive = wall (plane_sweep ~config:scalar_cfg sim_naive) in
+  let plane_naive = wall (plane_sweep ~config:one_lane_cfg sim_naive) in
   O.set_caching true;
   O.set_cache_capacity 512 (* fresh cache: zero stats, cold start *);
-  let plane_fast = wall (plane_sweep ~config:scalar_cfg sim_fast) in
+  let plane_fast = wall (plane_sweep ~config:one_lane_cfg sim_fast) in
   let cache = O.cache_stats () in
   let hit_rate =
     let total = cache.O.hits + cache.O.misses in
     if total = 0 then 0.0 else float_of_int cache.O.hits /. float_of_int total
   in
-  (* --- batched ensemble sweep vs both scalar paths ------------------ *)
+  (* --- batched sweep vs both one-lane sweeps ------------------------ *)
   (* same plane set, same single domain, fresh cache: resistances travel
      as ensemble lanes through the shared sparse LU instead of one
      transient per point. The tripwire is the tentpole acceptance: the
@@ -382,8 +382,8 @@ let perf_engine_ab () =
   let batch_speedup_limit = 5.0 in
   let batch_speedup_ok = batch_speedup >= batch_speedup_limit in
   (* --- per-lane allocation of the batched path ---------------------- *)
-  (* Acceptance check for the ensemble engine: amortised over the batch,
-     a lane must allocate no more than the scalar incremental path does
+  (* Acceptance check for batching: amortised over the batch, a lane
+     must allocate no more than a one-lane incremental run does
      per accepted time point (the SoA state rows are shared, bisection
      bookkeeping is amortised). Measured on a fresh 16-lane w0 batch with
      the memo cache off and one domain (Gc.minor_words is per-domain);
@@ -419,8 +419,8 @@ let perf_engine_ab () =
   (* --- chaos smoke: per-lane failure isolation in a batch ----------- *)
   (* One NaN, one lane: [inject_nan_state@+1] fires on the very first
      Newton chaos query of the run, which is lane 0's initial
-     quasi-static solve. The lane dies inside the ensemble, falls back
-     to the full scalar ladder (the one-shot fault is already spent, so
+     quasi-static solve. The lane dies inside the batch, falls back
+     to the one-lane ladder (the one-shot fault is already spent, so
      the fallback converges), and every other lane must finish
      untouched — bitwise equal to the clean batch. *)
   let vc_ends = function
@@ -448,7 +448,7 @@ let perf_engine_ab () =
       (List.tl clean_batch) (List.tl poisoned_batch)
   in
   (* and a lane that exhausts retries for real: an infinite initial
-     voltage fails the ensemble and the whole scalar ladder, so its slot
+     voltage fails the batch and the whole one-lane ladder, so its slot
      must surface [Exhausted_retries] while its batch mates still match
      the clean run bitwise *)
   let fallbacks1 = O.lane_fallbacks () in
@@ -598,7 +598,7 @@ let perf_engine_ab () =
   (* probe call sites per op: 3 per Newton iteration (factor + solve
      counters, clamp add), 3 per converged solve (solve counter,
      iteration add, histogram), 2 per accepted step (counter + dt
-     histogram), 1 per rejection, ~2 per transient run (run counter +
+     histogram), 1 per rejection, ~2 per integrator run (run counter +
      segment span checks), 3 per Ops request (request + hit-or-miss
      counters + span check) *)
   let probe_calls =
@@ -606,7 +606,7 @@ let perf_engine_ab () =
     + (3 * cval "engine.newton.solves")
     + (2 * cval "engine.transient.steps_accepted")
     + cval "engine.transient.steps_rejected"
-    + (2 * cval "engine.transient.runs")
+    + (2 * cval "engine.ensemble.batches")
     + (3 * cval "dram.ops.requests")
   in
   Tel.reset ();
@@ -804,9 +804,9 @@ let health () =
   let sim_off =
     { Dramstress_engine.Options.default with health_guards = false }
   in
-  (* one lane everywhere: a deadline forces the scalar path, so the
-     guarded/unguarded/deadline triple must all run scalar for a
-     like-for-like comparison *)
+  (* one lane everywhere: a deadline gives every point a run of its own,
+     so the guarded/unguarded/deadline triple must all run one lane per
+     point for a like-for-like comparison *)
   let cfg_off = Sc.v ~sim:sim_off ~retry:Sc.no_retry ~lanes:1 () in
   let cfg_on = Sc.v ~retry:Sc.no_retry ~lanes:1 () in
   (* a generous budget: the poll fires every Newton iteration but the

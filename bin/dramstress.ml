@@ -214,16 +214,16 @@ let cache_stats_json (c : O.cache_stats) =
      \"entries\": %d, \"capacity\": %d }"
     c.O.requests c.O.hits c.O.misses c.O.evictions c.O.entries c.O.capacity
 
-(* always-on mirrors of the batched-solver counters, reported next to
+(* always-on mirrors of the integrator's lane counters, reported next to
    [cache_stats] so the engine ledgers reconcile with telemetry off:
-   misses = transient runs + ensemble lanes (modulo retries/fallbacks) *)
-let ensemble_stats_json (e : Dramstress_engine.Ensemble.stats) =
+   misses = lanes (modulo retries/fallbacks) *)
+let ensemble_stats_json (e : Dramstress_engine.Transient.stats) =
   Printf.sprintf
     "{ \"lanes\": %d, \"batches\": %d, \"masked_lane_iters\": %d, \
      \"lane_failures\": %d, \"lane_fallbacks\": %d }"
-    e.Dramstress_engine.Ensemble.lanes e.Dramstress_engine.Ensemble.batches
-    e.Dramstress_engine.Ensemble.masked_lane_iters
-    e.Dramstress_engine.Ensemble.lane_failures (O.lane_fallbacks ())
+    e.Dramstress_engine.Transient.lanes e.Dramstress_engine.Transient.batches
+    e.Dramstress_engine.Transient.masked_lane_iters
+    e.Dramstress_engine.Transient.lane_failures (O.lane_fallbacks ())
 
 let sparse_lu_stats_json (s : Dramstress_util.Sparse_lu.stats) =
   Printf.sprintf
@@ -254,7 +254,7 @@ let telemetry_setup metrics metrics_out trace =
     | Some fmt ->
       let snap = Tel.snapshot () in
       let cache = O.cache_stats () in
-      let ens = Dramstress_engine.Ensemble.stats () in
+      let ens = Dramstress_engine.Transient.stats () in
       let slu = Dramstress_util.Sparse_lu.stats () in
       let write_to default_channel out =
         match metrics_out with
@@ -277,11 +277,11 @@ let telemetry_setup metrics metrics_out trace =
               cache.O.entries cache.O.capacity
           ^ Printf.sprintf
               "ensemble: %d lanes in %d batches, %d masked lane-iters, \
-               %d lane failures, %d scalar fallbacks\n"
-              ens.Dramstress_engine.Ensemble.lanes
-              ens.Dramstress_engine.Ensemble.batches
-              ens.Dramstress_engine.Ensemble.masked_lane_iters
-              ens.Dramstress_engine.Ensemble.lane_failures
+               %d lane failures, %d one-lane fallbacks\n"
+              ens.Dramstress_engine.Transient.lanes
+              ens.Dramstress_engine.Transient.batches
+              ens.Dramstress_engine.Transient.masked_lane_iters
+              ens.Dramstress_engine.Transient.lane_failures
               (O.lane_fallbacks ())
           ^ Printf.sprintf
               "sparse LU: %d analyses (+%d stale reruns), %d numeric \

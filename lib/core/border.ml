@@ -352,12 +352,12 @@ let search ?tech ?config ?checkpoint ?window ?r_min ?r_max ?grid_points
       lanes_max > 1 && cfg.Sc.deadline = None && not (Chaos.armed ())
     in
     (* [scan rs] simulates each resistance of [rs] in order. Batched by
-       default: the resistances become lanes of shared ensembles
-       ([O.run_batch]) judged per lane; scalar for [lanes = 1],
-       per-point deadlines, or an armed chaos harness — same values,
-       same cache keys, either way. The refinement bisections below stay
-       scalar: each walks its own resistance trajectory, and caching
-       makes revisits free. *)
+       default: the resistances become lanes of shared runs
+       ([O.run_batch]) judged per lane; one run per point for
+       [lanes = 1], per-point deadlines, or an armed chaos harness —
+       same values, same cache keys, either way. The refinement
+       bisections below stay one point per run: each walks its own
+       resistance trajectory, and caching makes revisits free. *)
     let scan rs =
       if use_batch && List.length rs > 1 then begin
         let defects = List.map (fun r -> D.v kind placement r) rs in

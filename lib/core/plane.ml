@@ -153,15 +153,15 @@ let decode_read_point s =
 (* ------------------------------------------------------------------ *)
 
 (* Planes batch by default: every resistance of a sweep becomes one lane
-   of a shared ensemble integration ([O.run_batch]) instead of an
-   independent transient, so topology planning, symbolic sparse-LU
-   analysis and waveform evaluation are paid once per batch. The scalar
-   path remains for [lanes = 1] ([DRAMSTRESS_LANES=1] or
+   of a shared integrator run ([O.run_batch]) instead of a run of its
+   own, so topology planning, symbolic sparse-LU analysis and waveform
+   evaluation are paid once per batch. Each point runs alone, as a lane
+   of one ([O.run]), for [lanes = 1] ([DRAMSTRESS_LANES=1] or
    [Sim_config.lanes = Some 1]), for per-point wall-clock deadlines (a
-   budget has no meaning inside a shared solve) and under an armed chaos
-   harness (whose fault plans reason about scalar per-point runs). Both
-   paths produce identical values and share cache and checkpoint keys,
-   so sweeps can switch paths mid-campaign. *)
+   budget has no meaning inside a shared run) and under an armed chaos
+   harness (whose fault plans reason about per-point runs). Both ways
+   produce the same values and share cache and checkpoint keys, so
+   sweeps can switch mid-campaign. *)
 
 let batching config =
   Sc.resolve_lanes config > 1
@@ -171,7 +171,7 @@ let batching config =
 (* one batched evaluation round: [pts] are [(key, lane)] pairs; lanes
    are cut into ensemble-width chunks that fan out over domains. A raise
    from [O.run_batch] itself (e.g. a topology build failure, which would
-   fail each lane of the batch identically on the scalar path) degrades
+   fail each lane of the batch identically when run alone) degrades
    to per-lane [Error]s instead of aborting the sweep. *)
 let run_rounds ~config ~jobs ~lanes_max ~stress ~ops pts =
   List.concat
@@ -190,7 +190,7 @@ let run_rounds ~config ~jobs ~lanes_max ~stress ~ops pts =
        (Par.chunks ~size:lanes_max pts))
 
 (* batched [vsa]: every lane follows the exact guarded-bisection
-   trajectory of the scalar version — same brackets, same midpoints,
+   trajectory of the per-point version — same brackets, same midpoints,
    same [tol] and iteration cap as {!B.guarded_threshold} — but each
    predicate round evaluates all still-active lanes in one ensemble.
    All Crossing lanes share the bracket [0, vdd], so they stay in
@@ -280,8 +280,8 @@ let vsa_many ~config ~jobs ~lanes_max ~stress defects =
    [slots], per-point defect construction with [D.v] failures captured
    as point failures, and the final assembly into [Outcome.t] slots in
    input order — all under the exact keys and payload codecs of the
-   scalar [Ck.memo] path, so a checkpointed sweep can resume on either
-   path bit-identically. *)
+   per-point [Ck.memo] path, so a checkpointed sweep can resume either
+   way bit-identically. *)
 let batched_slots ~checkpoint ~decode ~kind ~placement ~keys rops_arr =
   let n = Array.length rops_arr in
   let slots = Array.make n None in

@@ -320,8 +320,8 @@ let clear_cache () = Cache.clear Cache.default
 let cache_stats () = Cache.stats Cache.default
 
 (* the planner's cost metric: requests that actually reached the solver
-   (scalar transient runs plus ensemble lanes), i.e. what the paper
-   counts as "simulations". Cached replays are free and excluded. *)
+   (integrator lanes), i.e. what the paper counts as "simulations".
+   Cached replays are free and excluded. *)
 let simulations () = (Cache.stats Cache.default).misses
 
 (* ------------------------------------------------------------------ *)
@@ -354,10 +354,8 @@ let degrade_config (cfg : Sim_config.t) stage =
             E.Options.max_step_v;
             max_newton = base_sim.E.Options.max_newton * max_newton_scale } }
 
-(* interpret one simulated trace against the op schedule: per-op sensed
-   bit, sense separation and end-of-op cell voltage. Shared verbatim by
-   the scalar and the batched execution paths — an outcome must not
-   depend on which path produced the trace. *)
+(* interpret one simulated lane trace against the op schedule: per-op
+   sensed bit, sense separation and end-of-op cell voltage *)
 let interpret ~inverted ~schedule ~(ph : Timing.t) ~(built : Column.built)
     trace =
   let vc = E.Transient.probe trace built.Column.vc_node in
@@ -405,37 +403,71 @@ let neighbour_of_pattern ~(stress : Stress.t) ~vc_init v_neighbour =
 let netlist_knobs ~(tech : Tech.t) ~(stress : Stress.t) =
   (stress.Stress.leak, stress.Stress.couple *. tech.Tech.c_cell)
 
-let execute ~tech ?sim ~steps_per_cycle ?deadline_at ?defect ~vc_init
-    ?v_neighbour ~stress ops =
+type lane = { defect : D.t option; vc_init : float }
+
+(* one integrator run for [lanes] (one defect kind and placement): plan
+   the sequence, build the column once with the first lane's defect,
+   integrate every lane and interpret each trace. A lane whose defect is
+   the one the column was built with rides at the netlist value; only a
+   run whose lanes differ in resistance overrides [r_defect] per lane,
+   which takes the resistor out of the static template for every lane
+   of that run. *)
+let execute ~(cfg : Sim_config.t) ?deadline_at ?v_neighbour ~stress ~lanes ops
+    =
+  let tech = cfg.Sim_config.tech in
   let vdd = stress.Stress.vdd in
-  let v_neighbour = neighbour_of_pattern ~stress ~vc_init v_neighbour in
+  let defect0 = lanes.(0).defect in
   let inverted =
-    match defect with
+    match defect0 with
     | Some { D.placement = D.Comp_bl; _ } -> true
     | Some { D.placement = D.True_bl; _ } | None -> false
   in
   let controls, segments, schedule, ph =
-    plan ~tech ~stress ~inverted ~steps_per_cycle ops
+    plan ~tech ~stress ~inverted
+      ~steps_per_cycle:cfg.Sim_config.steps_per_cycle ops
   in
   let leak_g, couple = netlist_knobs ~tech ~stress in
-  let built = Column.build ~tech ~vdd ~controls ~leak_g ~couple ?defect () in
+  let built =
+    Column.build ~tech ~vdd ~controls ~leak_g ~couple ?defect:defect0 ()
+  in
   let opts =
-    let base = Option.value sim ~default:E.Options.default in
+    let base = Option.value cfg.Sim_config.sim ~default:E.Options.default in
     { base with E.Options.temp = Stress.temp_kelvin stress }
   in
-  let ics = Column.initial_conditions built ~vdd ~vc_init ~v_neighbour in
-  let trace =
-    E.Transient.run built.Column.compiled ~opts ?deadline_at ~segments ~ics
-      ~probes:built.Column.probes ()
+  let elanes =
+    Array.map
+      (fun l ->
+        (* per-lane pattern resolution: a checkerboard neighbour depends
+           on the lane's own vc_init *)
+        let v_nb =
+          neighbour_of_pattern ~stress ~vc_init:l.vc_init v_neighbour
+        in
+        {
+          E.Transient.ics =
+            Column.initial_conditions built ~vdd ~vc_init:l.vc_init
+              ~v_neighbour:v_nb;
+          override =
+            (match l.defect with
+            | Some d when l.defect <> defect0 -> Some ("r_defect", d.D.r)
+            | Some _ | None -> None);
+        })
+      lanes
   in
-  interpret ~inverted ~schedule ~ph ~built trace
+  E.Transient.run_lanes built.Column.compiled ~opts ?deadline_at ~segments
+    ~lanes:elanes ~probes:built.Column.probes ()
+  |> Array.map (Result.map (interpret ~inverted ~schedule ~ph ~built))
 
-let execute_resilient ~(cfg : Sim_config.t) ?deadline_at ?defect ~vc_init
-    ?v_neighbour ~stress ops =
-  let exec (c : Sim_config.t) =
-    execute ~tech:c.Sim_config.tech ?sim:c.Sim_config.sim
-      ~steps_per_cycle:c.Sim_config.steps_per_cycle ?deadline_at ?defect
-      ~vc_init ?v_neighbour ~stress ops
+(* one lane through the retry ladder: a one-lane run, then the
+   configured escalation stages *)
+let execute_resilient ~(cfg : Sim_config.t) ?deadline_at ?v_neighbour ~stress
+    lane ops =
+  let exec c =
+    match
+      (execute ~cfg:c ?deadline_at ?v_neighbour ~stress ~lanes:[| lane |] ops)
+        .(0)
+    with
+    | Ok outcome -> outcome
+    | Error e -> raise e
   in
   (* Newton.Timeout is deliberately absent: a point that exhausted its
      wall-clock budget must not walk the ladder (each stage only costs
@@ -482,12 +514,11 @@ let execute_resilient ~(cfg : Sim_config.t) ?deadline_at ?defect ~vc_init
       attempt cfg 1 [] e stages
     end
 
-(* the full scalar miss path of [run] minus the cache: deadline
-   pinning, tracing span, deadline counting and the retry ladder.
-   Shared by [run] and the per-lane fallback of [run_batch], so a lane
-   that falls out of an ensemble gets exactly the scalar treatment. *)
-let execute_with_ladder ~(cfg : Sim_config.t) ?defect ~vc_init ?v_neighbour
-    ~stress ops =
+(* the full miss path of one point minus the cache: deadline pinning,
+   tracing span, deadline counting and the retry ladder. A lone miss
+   takes it directly, and so does a lane that failed inside a
+   multi-lane run. *)
+let execute_with_ladder ~(cfg : Sim_config.t) ?v_neighbour ~stress lane ops =
   (* the wall-clock budget covers the whole request — base attempt
      plus every retry stage — so it is pinned to an absolute instant
      here, once, rather than restarting per attempt *)
@@ -500,8 +531,7 @@ let execute_with_ladder ~(cfg : Sim_config.t) ?defect ~vc_init ?v_neighbour
     ~attrs:(fun () -> [ ("seq", Tel.Str (seq_to_string ops)) ])
     (fun () ->
       match
-        execute_resilient ~cfg ?deadline_at ?defect ~vc_init ?v_neighbour
-          ~stress ops
+        execute_resilient ~cfg ?deadline_at ?v_neighbour ~stress lane ops
       with
       | outcome -> outcome
       | exception (E.Newton.Timeout _ as e) ->
@@ -517,44 +547,6 @@ let store_outcome cache key outcome =
         let d = Lru.evictions c - ev0 in
         if d > 0 then Tel.Counter.add c_evictions d)
 
-let run ?tech ?sim ?steps_per_cycle ?defect ?(vc_init = 0.0) ?v_neighbour
-    ?config ?(cache = Cache.default) ~stress ops =
-  if ops = [] then invalid_arg "Ops.run: empty sequence";
-  Stress.validate stress;
-  let cfg = Sim_config.resolve ?tech ?sim ?steps_per_cycle ?config () in
-  Atomic.incr cache.Cache.request_count;
-  Tel.Counter.incr c_requests;
-  let key =
-    { k_tech = cfg.Sim_config.tech; k_stress = stress;
-      k_sim = cfg.Sim_config.sim; k_steps = cfg.Sim_config.steps_per_cycle;
-      k_defect = defect; k_vc_init = vc_init; k_v_neighbour = v_neighbour;
-      k_ops = ops }
-  in
-  let cached =
-    if Cache.is_enabled cache then
-      Cache.with_lru cache (fun c -> Lru.find c key)
-    else None
-  in
-  match cached with
-  | Some outcome ->
-    Tel.Counter.incr c_hits;
-    outcome
-  | None ->
-    Tel.Counter.incr c_misses;
-    let outcome =
-      execute_with_ladder ~cfg ?defect ~vc_init ?v_neighbour ~stress ops
-    in
-    (* a run rescued by a degraded stage is cached under the BASE config
-       key on purpose: the base configuration cannot produce an outcome
-       at all (it fails), and repeat requests should get the degraded
-       result instantly instead of re-walking the failure ladder *)
-    store_outcome cache key outcome;
-    outcome
-
-(* ------------------------------------------------------------------ *)
-(* Batched execution                                                   *)
-(* ------------------------------------------------------------------ *)
-
 let c_lane_fallbacks = Tel.Counter.make "dram.ops.lane_fallbacks"
 
 (* always-on mirror for [--metrics] reconciliation *)
@@ -562,66 +554,6 @@ let g_lane_fallbacks = Atomic.make 0
 
 let lane_fallbacks () = Atomic.get g_lane_fallbacks
 let reset_lane_fallbacks () = Atomic.set g_lane_fallbacks 0
-
-type lane = { defect : D.t option; vc_init : float }
-
-(* every miss lane of one batch through a single ensemble run: shared
-   topology (defect kind + placement fixed across lanes), per-lane
-   resistance as an {!Mna} resistor override and per-lane initial cell
-   voltage as lane ICs *)
-let execute_batch ~(cfg : Sim_config.t) ?v_neighbour ~stress ~lanes ops =
-  let tech = cfg.Sim_config.tech in
-  let vdd = stress.Stress.vdd in
-  let defect0 = (List.hd lanes).defect in
-  let inverted =
-    match defect0 with
-    | Some { D.placement = D.Comp_bl; _ } -> true
-    | Some { D.placement = D.True_bl; _ } | None -> false
-  in
-  let controls, segments, schedule, ph =
-    plan ~tech ~stress ~inverted
-      ~steps_per_cycle:cfg.Sim_config.steps_per_cycle ops
-  in
-  (* the column is built once, with the first lane's defect; every lane
-     (including the first) then overrides [r_defect] with its own
-     resistance, so the netlist value never leaks into any lane *)
-  let leak_g, couple = netlist_knobs ~tech ~stress in
-  let built =
-    Column.build ~tech ~vdd ~controls ~leak_g ~couple ?defect:defect0 ()
-  in
-  let opts =
-    let base = Option.value cfg.Sim_config.sim ~default:E.Options.default in
-    { base with E.Options.temp = Stress.temp_kelvin stress }
-  in
-  let elanes =
-    Array.of_list
-      (List.map
-         (fun l ->
-           (* per-lane pattern resolution keeps lane/scalar parity exact:
-              a checkerboard neighbour depends on the lane's own vc_init *)
-           let v_nb =
-             neighbour_of_pattern ~stress ~vc_init:l.vc_init v_neighbour
-           in
-           {
-             E.Ensemble.ics =
-               Column.initial_conditions built ~vdd ~vc_init:l.vc_init
-                 ~v_neighbour:v_nb;
-             override = Option.map (fun d -> ("r_defect", d.D.r)) l.defect;
-           })
-         lanes)
-  in
-  let traces =
-    Tel.with_span "ops.run_batch"
-      ~attrs:(fun () ->
-        [ ("seq", Tel.Str (seq_to_string ops));
-          ("lanes", Tel.Int (Array.length elanes)) ])
-      (fun () ->
-        E.Ensemble.run built.Column.compiled ~opts ~segments ~lanes:elanes
-          ~probes:built.Column.probes ())
-  in
-  Array.map
-    (Result.map (fun trace -> interpret ~inverted ~schedule ~ph ~built trace))
-    traces
 
 let run_batch ?tech ?sim ?steps_per_cycle ?v_neighbour ?config
     ?(cache = Cache.default) ~stress ~lanes ops =
@@ -642,9 +574,9 @@ let run_batch ?tech ?sim ?steps_per_cycle ?v_neighbour ?config
   let cfg = Sim_config.resolve ?tech ?sim ?steps_per_cycle ?config () in
   let lanes_arr = Array.of_list lanes in
   let n = Array.length lanes_arr in
-  (* per-lane keys and request/hit/miss accounting identical to scalar
-     [run]: a batched lane and a scalar call are interchangeable in the
-     cache, and [requests = hits + misses] keeps holding *)
+  (* per-lane cache keys and request/hit/miss ticks: a lane is a point,
+     however many lanes share its run, and [requests = hits + misses]
+     keeps holding *)
   let keys =
     Array.map
       (fun l ->
@@ -674,45 +606,63 @@ let run_batch ?tech ?sim ?steps_per_cycle ?v_neighbour ?config
   for i = n - 1 downto 0 do
     if Option.is_none slots.(i) then missing := i :: !missing
   done;
+  (* a run rescued by a degraded stage is cached under the BASE config
+     key on purpose: the base configuration cannot produce an outcome
+     at all (it fails), and repeat requests should get the degraded
+     result instantly instead of re-walking the failure ladder *)
   let finish i outcome =
     store_outcome cache keys.(i) outcome;
     slots.(i) <- Some (Ok outcome)
   in
-  let scalar i =
-    let l = lanes_arr.(i) in
-    match
-      execute_with_ladder ~cfg ?defect:l.defect ~vc_init:l.vc_init
-        ?v_neighbour ~stress ops
-    with
+  let ladder i =
+    match execute_with_ladder ~cfg ?v_neighbour ~stress lanes_arr.(i) ops with
     | outcome -> finish i outcome
     | exception e -> slots.(i) <- Some (Error e)
   in
   (match !missing with
   | [] -> ()
-  | [ i ] -> scalar i (* a single miss: an ensemble of one is overhead *)
+  (* a lone miss goes straight to the ladder, so a failing point is not
+     simulated twice *)
+  | [ i ] -> ladder i
   | missing when cfg.Sim_config.deadline <> None ->
     (* the wall-clock budget is a per-point contract; inside a shared
-       ensemble one slow lane would burn every lane's budget, so
-       deadline-bound requests take the scalar path per lane *)
-    List.iter scalar missing
+       run one slow lane would burn every lane's budget, so each
+       deadline-bound miss gets a run of its own *)
+    List.iter ladder missing
   | missing ->
     let results =
-      execute_batch ~cfg ?v_neighbour ~stress
-        ~lanes:(List.map (fun i -> lanes_arr.(i)) missing)
-        ops
+      Tel.with_span "ops.run_batch"
+        ~attrs:(fun () ->
+          [ ("seq", Tel.Str (seq_to_string ops));
+            ("lanes", Tel.Int (List.length missing)) ])
+        (fun () ->
+          execute ~cfg ?v_neighbour ~stress
+            ~lanes:(Array.of_list (List.map (fun i -> lanes_arr.(i)) missing))
+            ops)
     in
     List.iteri
       (fun j i ->
         match results.(j) with
         | Ok outcome -> finish i outcome
         | Error _ ->
-          (* the lane died inside the ensemble (after its in-batch
-             dt-halving retries); give it the full scalar treatment —
-             base attempt plus retry ladder — exactly what a scalar miss
-             would get. Non-convergent lanes end up as [Error
-             Exhausted_retries] slots without disturbing batch mates. *)
+          (* the lane died inside the run (after its dt-halving
+             retries); give it what a lone miss gets — a one-lane base
+             attempt plus the retry ladder. Non-convergent lanes end up
+             as [Error Exhausted_retries] slots without disturbing
+             their batch mates. *)
           Tel.Counter.incr c_lane_fallbacks;
           Atomic.incr g_lane_fallbacks;
-          scalar i)
+          ladder i)
       missing);
   Array.to_list (Array.map Option.get slots)
+
+let run ?tech ?sim ?steps_per_cycle ?defect ?(vc_init = 0.0) ?v_neighbour
+    ?config ?cache ~stress ops =
+  if ops = [] then invalid_arg "Ops.run: empty sequence";
+  match
+    run_batch ?tech ?sim ?steps_per_cycle ?v_neighbour ?config ?cache ~stress
+      ~lanes:[ { defect; vc_init } ] ops
+  with
+  | [ Ok outcome ] -> outcome
+  | [ Error e ] -> raise e
+  | _ -> assert false

@@ -196,8 +196,8 @@ val clear_cache : unit -> unit
 val cache_stats : unit -> cache_stats
 
 (** [simulations ()] is [(cache_stats ()).misses] — the number of
-    requests that actually reached the electrical solver (scalar
-    transient runs plus ensemble lanes; cached replays excluded) since
+    requests that actually reached the electrical solver (integrator
+    lanes; cached replays excluded) since
     start-up or the last {!clear_cache}. This is the cost metric the
     adaptive campaign planner minimises and the bench tripwires
     compare, named so call sites read as what they measure. *)
@@ -258,7 +258,8 @@ val run :
     points (a resistance decade sweep, a batched bisection round) hand
     the whole set to {!run_batch} as {e lanes}: one circuit topology,
     one shared time grid, N simultaneous integrations
-    ({!Dramstress_engine.Ensemble}). *)
+    ({!Dramstress_engine.Transient.run_lanes}). {!run} is a [run_batch]
+    of one lane. *)
 
 (** One batched operating point: the defect instance this lane simulates
     (kind and placement must match across the batch — only [r] may
@@ -273,18 +274,18 @@ type lane = {
     ~stress ~lanes ops] is the batched [run]: one result slot per lane,
     in lane order.
 
-    Each lane is accounted exactly like a scalar {!run} call — its own
-    cache key (interchangeable with scalar keys), its own request /
-    hit / miss tick — so cache statistics reconcile identically on
-    either path. Lanes that miss are integrated together in one
-    ensemble; a lane that fails inside the ensemble falls back to the
-    full scalar treatment (base attempt plus retry ladder, counted on
+    Each lane is accounted exactly like a {!run} call — its own cache
+    key (interchangeable with {!run}'s keys), its own request / hit /
+    miss tick — so cache statistics reconcile however the points were
+    grouped. Lanes that miss are integrated together in one run; a lane
+    that fails inside it gets what a lone miss gets (a one-lane base
+    attempt plus the retry ladder, counted on
     [dram.ops.lane_fallbacks]) and surfaces as [Error] (typically
     {!Exhausted_retries}) only if that fails too, without disturbing
-    its batch mates. With a wall-clock [deadline] configured, or for a
-    single-lane miss, every miss takes the scalar path (a per-point
-    budget has no meaning inside a shared ensemble; an ensemble of one
-    is overhead).
+    its batch mates. A lone miss goes straight to that one-lane ladder,
+    so a failing point is not simulated twice; with a wall-clock
+    [deadline] configured every miss gets a run of its own (a per-point
+    budget has no meaning inside a shared run).
 
     Raises [Invalid_argument] for an empty [lanes] or [ops] list, or
     for lanes mixing defect kinds/placements. *)
@@ -300,8 +301,8 @@ val run_batch :
   op list ->
   (outcome, exn) result list
 
-(** [lane_fallbacks ()] — always-on count of lanes that fell out of an
-    ensemble into the scalar retry ladder (mirror of the
+(** [lane_fallbacks ()] — always-on count of lanes that fell out of a
+    multi-lane run into the one-lane retry ladder (mirror of the
     [dram.ops.lane_fallbacks] counter, readable with telemetry off). *)
 val lane_fallbacks : unit -> int
 

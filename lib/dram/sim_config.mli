@@ -61,7 +61,7 @@ type t = {
           to [DRAMSTRESS_LANES] then
           {!Dramstress_util.Par.default_lanes}
           ({!Dramstress_util.Par.resolve_lanes}). [Some 1] disables
-          batching (every point takes the scalar path). *)
+          batching (every point is a lane of its own). *)
   retry : retry_policy;
       (** what {!Ops.run} tries when the solver fails on a point *)
   deadline : float option;

@@ -256,63 +256,6 @@ let mosfet_stamps ~temp mat rhs x sys (m : C.Device.t) =
   | C.Device.Isource _ | C.Device.Switch _ ->
     assert false
 
-(* Reference from-scratch assembly (the seed implementation). Kept alive
-   as the golden baseline: the incremental workspace path below must
-   produce identical systems, which the regression tests assert. *)
-let assemble sys ~(opts : Options.t) ~t_now ~x ~reactive =
-  let n = sys.size in
-  let mat = L.create n n in
-  let rhs = Array.make n 0.0 in
-  (* gmin to ground on every node keeps floating subcircuits solvable *)
-  for node = 1 to sys.n_nodes - 1 do
-    mat.(node - 1).(node - 1) <- mat.(node - 1).(node - 1) +. opts.gmin
-  done;
-  let branch_row name = sys.n_nodes - 1 + Hashtbl.find sys.vsrc_branch name in
-  Array.iter
-    (fun d ->
-      match d with
-      | C.Device.Resistor { a; b; r; _ } -> stamp_g (1.0 /. r) mat a b
-      | C.Device.Switch { a; b; ctrl; g_on; g_off; threshold; _ } ->
-        let g = if C.Waveform.eval ctrl t_now > threshold then g_on else g_off in
-        stamp_g g mat a b
-      | C.Device.Capacitor { name; a; b; c; _ } ->
-        if reactive.dt > 0.0 then begin
-          let vab_prev = reactive.prev_v.(a) -. reactive.prev_v.(b) in
-          let slot = Hashtbl.find sys.cap_index name in
-          let g = cap_g ~opts ~dt:reactive.dt c in
-          let i_hist =
-            match opts.integrator with
-            | Options.Backward_euler -> g *. vab_prev
-            | Options.Trapezoidal ->
-              (g *. vab_prev) +. reactive.prev_cap_current.(slot)
-          in
-          stamp_g g mat a b;
-          stamp_i i_hist rhs a;
-          stamp_i (-.i_hist) rhs b
-        end
-      | C.Device.Vsource { name; pos; neg; wave } ->
-        let row = branch_row name in
-        (* branch current leaves pos, enters neg *)
-        if pos > 0 then begin
-          mat.(pos - 1).(row) <- mat.(pos - 1).(row) +. 1.0;
-          mat.(row).(pos - 1) <- mat.(row).(pos - 1) +. 1.0
-        end;
-        if neg > 0 then begin
-          mat.(neg - 1).(row) <- mat.(neg - 1).(row) -. 1.0;
-          mat.(row).(neg - 1) <- mat.(row).(neg - 1) -. 1.0
-        end;
-        rhs.(row) <- C.Waveform.eval wave t_now
-      | C.Device.Isource { pos; neg; wave; _ } ->
-        let i = C.Waveform.eval wave t_now in
-        (* positive current flows pos -> neg through the source: leaves
-           the pos node, is injected into the neg node *)
-        stamp_i (-.i) rhs pos;
-        stamp_i i rhs neg
-      | C.Device.Mosfet _ ->
-        mosfet_stamps ~temp:opts.temp mat rhs x sys d)
-    sys.compiled.devices;
-  (mat, rhs)
-
 (* ------------------------------------------------------------------ *)
 (* Incremental assembly workspace                                      *)
 (* ------------------------------------------------------------------ *)
@@ -391,6 +334,74 @@ let clear_resistor_override ws =
   ws.excluded_res <- -1;
   ws.override_g.(0) <- 0.0
 
+(* Reference from-scratch assembly (the seed implementation). Kept alive
+   as the golden baseline: the incremental workspace path below must
+   produce identical systems, which the regression tests assert. A
+   workspace [ws] contributes only its resistor override, stamped in
+   place of the netlist value. *)
+let assemble ?ws sys ~(opts : Options.t) ~t_now ~x ~reactive =
+  let excluded, g_override =
+    match ws with
+    | Some ws -> (ws.excluded_res, ws.override_g.(0))
+    | None -> (-1, 0.0)
+  in
+  let n = sys.size in
+  let mat = L.create n n in
+  let rhs = Array.make n 0.0 in
+  (* gmin to ground on every node keeps floating subcircuits solvable *)
+  for node = 1 to sys.n_nodes - 1 do
+    mat.(node - 1).(node - 1) <- mat.(node - 1).(node - 1) +. opts.gmin
+  done;
+  let branch_row name = sys.n_nodes - 1 + Hashtbl.find sys.vsrc_branch name in
+  let res = ref 0 in
+  Array.iter
+    (fun d ->
+      match d with
+      | C.Device.Resistor { a; b; r; _ } ->
+        let g = if !res = excluded then g_override else 1.0 /. r in
+        incr res;
+        stamp_g g mat a b
+      | C.Device.Switch { a; b; ctrl; g_on; g_off; threshold; _ } ->
+        let g = if C.Waveform.eval ctrl t_now > threshold then g_on else g_off in
+        stamp_g g mat a b
+      | C.Device.Capacitor { name; a; b; c; _ } ->
+        if reactive.dt > 0.0 then begin
+          let vab_prev = reactive.prev_v.(a) -. reactive.prev_v.(b) in
+          let slot = Hashtbl.find sys.cap_index name in
+          let g = cap_g ~opts ~dt:reactive.dt c in
+          let i_hist =
+            match opts.integrator with
+            | Options.Backward_euler -> g *. vab_prev
+            | Options.Trapezoidal ->
+              (g *. vab_prev) +. reactive.prev_cap_current.(slot)
+          in
+          stamp_g g mat a b;
+          stamp_i i_hist rhs a;
+          stamp_i (-.i_hist) rhs b
+        end
+      | C.Device.Vsource { name; pos; neg; wave } ->
+        let row = branch_row name in
+        (* branch current leaves pos, enters neg *)
+        if pos > 0 then begin
+          mat.(pos - 1).(row) <- mat.(pos - 1).(row) +. 1.0;
+          mat.(row).(pos - 1) <- mat.(row).(pos - 1) +. 1.0
+        end;
+        if neg > 0 then begin
+          mat.(neg - 1).(row) <- mat.(neg - 1).(row) -. 1.0;
+          mat.(row).(neg - 1) <- mat.(row).(neg - 1) -. 1.0
+        end;
+        rhs.(row) <- C.Waveform.eval wave t_now
+      | C.Device.Isource { pos; neg; wave; _ } ->
+        let i = C.Waveform.eval wave t_now in
+        (* positive current flows pos -> neg through the source: leaves
+           the pos node, is injected into the neg node *)
+        stamp_i (-.i) rhs pos;
+        stamp_i i rhs neg
+      | C.Device.Mosfet _ ->
+        mosfet_stamps ~temp:opts.temp mat rhs x sys d)
+    sys.compiled.devices;
+  (mat, rhs)
+
 (* static-linear part: gmin regularization, resistors, voltage-source
    topology and — for a fixed (dt, integrator) — the capacitor companion
    conductances. Everything here is independent of t, x and history. A
@@ -427,8 +438,8 @@ let rebuild_template sys ws ~(opts : Options.t) ~dt =
 (* Evaluate every control waveform at [t_now] into the workspace
    buffers. Split out of assembly because the controls depend on the
    time point only: a Newton solve walks the waveforms once, not once
-   per iteration, and the ensemble engine shares the values across all
-   lanes (they integrate on one shared grid). *)
+   per iteration, and the lanes of one run share the values (they
+   integrate on one shared grid). *)
 let eval_controls_into sys ws ~t_now =
   for i = 0 to Array.length sys.switches - 1 do
     let p = sys.switches.(i) in

@@ -72,18 +72,6 @@ val resistor_g : t -> int -> float
     iterate). Input for {!Dramstress_util.Sparse_lu.make}. *)
 val structural_pattern : t -> bool array array
 
-(** [assemble sys ~opts ~t ~x ~reactive] stamps the full linearized
-    system at time [t] around iterate [x] and returns freshly allocated
-    [(g, b)]. This is the reference from-scratch path; the workspace API
-    below produces identical systems without allocating. *)
-val assemble :
-  t ->
-  opts:Options.t ->
-  t_now:float ->
-  x:float array ->
-  reactive:reactive ->
-  Dramstress_util.Linalg.matrix * float array
-
 (** Reusable per-solve buffers for the incremental assembly path: the
     work matrix and RHS, the cached static-linear template (gmin,
     resistors, voltage-source topology, capacitor conductances for the
@@ -108,6 +96,22 @@ val set_resistor_override : workspace -> index:int -> g:float -> unit
 
 (** [clear_resistor_override ws] restores the netlist resistance. *)
 val clear_resistor_override : workspace -> unit
+
+(** [assemble ?ws sys ~opts ~t_now ~x ~reactive] stamps the full
+    linearized system at [t_now] around iterate [x] and returns freshly
+    allocated [(g, b)]. This is the reference from-scratch path, selected
+    by [opts.naive_assembly]; {!assemble_into_pre} produces identical
+    systems without allocating. Of [ws] only the resistor override
+    ({!set_resistor_override}) is used: that resistor is stamped with the
+    override conductance instead of its netlist value. *)
+val assemble :
+  ?ws:workspace ->
+  t ->
+  opts:Options.t ->
+  t_now:float ->
+  x:float array ->
+  reactive:reactive ->
+  Dramstress_util.Linalg.matrix * float array
 
 (** [eval_controls_into sys ws ~t_now] evaluates every control waveform
     (switch controls, source values) at [t_now] into workspace buffers

@@ -122,8 +122,7 @@ let check_finite ~t_now ~iter x =
    iterations regardless of solve boundaries. A hung (or already
    expired) run is cut within 16 iterations of the deadline — tens of
    microseconds against seconds-scale budgets. The counter is a plain
-   ref: deadline runs are scalar/per-domain, and a racy phase merely
-   shifts when the next poll lands. *)
+   ref: a racy phase merely shifts when the next poll lands. *)
 let poll_phase = ref 0
 
 let check_deadline ~deadline_at ~t_now ~iter:_ =
@@ -143,64 +142,56 @@ let chaos_nan x =
   if Chaos.armed () && Chaos.fire Chaos.Inject_nan_state then
     x.(0) <- Float.nan
 
-(* reference path: allocate and factor a fresh system every iteration *)
-let solve_naive sys ~(opts : Options.t) ?deadline_at ~t_now ~reactive ~x0 () =
-  let n_node_unknowns = Mna.n_nodes sys - 1 in
-  let x = Array.copy x0 in
-  let diverge = chaos_diverge () in
-  let rec iterate iter =
-    check_deadline ~deadline_at ~t_now ~iter;
-    let mat, rhs = Mna.assemble sys ~opts ~t_now ~x ~reactive in
-    Mna.record_factor_solve ();
-    let x_new =
+(* One Newton iteration on [x], in place: the only copy of the iteration
+   body, shared by [solve] and the lane loop of [Transient.run_lanes].
+   [opts.naive_assembly] selects the reference path, which allocates and
+   factors a fresh system; otherwise all matrix work happens inside [ws],
+   whose controls the caller has evaluated for [t_now], and the
+   iteration allocates nothing. The verdict is a bool, so no float
+   result crosses the call where it is not inlined. *)
+let[@inline] iterate sys ws ~(opts : Options.t) ~deadline_at ~t_now ~reactive
+    ~diverge ~iter x =
+  check_deadline ~deadline_at ~t_now ~iter;
+  let x_new =
+    if opts.naive_assembly then begin
+      let mat, rhs = Mna.assemble ~ws sys ~opts ~t_now ~x ~reactive in
+      Mna.record_factor_solve ();
       match L.lu_solve (L.lu_factor mat) rhs with
       | x_new -> x_new
       | exception L.Singular { row; pivot } ->
         sick_singular ~t_now ~iter ~row ~pivot
-    in
-    let worst = apply_update ~opts ~n_node_unknowns x x_new in
-    chaos_nan x;
-    if opts.health_guards then check_finite ~t_now ~iter x;
-    if (not diverge) && worst <= tolerance ~opts x then begin
-      record_solve iter;
-      x
     end
-    else if iter >= opts.max_newton then fail ~t_now ~iter ~worst
-    else iterate (iter + 1)
+    else begin
+      Mna.assemble_into_pre sys ws ~opts ~x ~reactive;
+      (match Mna.solve_in_place sys ws ~opts with
+      | () -> ()
+      | exception L.Singular { row; pivot } ->
+        sick_singular ~t_now ~iter ~row ~pivot);
+      Mna.solution ws
+    end
   in
-  iterate 1
+  let worst =
+    apply_update ~opts ~n_node_unknowns:(Mna.n_nodes sys - 1) x x_new
+  in
+  chaos_nan x;
+  if opts.health_guards then check_finite ~t_now ~iter x;
+  if (not diverge) && worst <= tolerance ~opts x then begin
+    record_solve iter;
+    true
+  end
+  else if iter >= opts.max_newton then fail ~t_now ~iter ~worst
+  else false
 
-(* incremental path: all matrix work happens inside the caller-provided
-   (or one-shot) workspace, and an iteration allocates nothing. The
-   controls depend on [t_now] only, so they are evaluated once per
+(* The controls depend on [t_now] only, so they are evaluated once per
    solve. *)
-let solve_ws sys ws ~(opts : Options.t) ?deadline_at ~t_now ~reactive ~x0 () =
-  let n_node_unknowns = Mna.n_nodes sys - 1 in
+let solve sys ?ws ?deadline_at ~(opts : Options.t) ~t_now ~reactive ~x0 () =
+  let ws = match ws with Some w -> w | None -> Mna.make_workspace sys in
   let x = Array.copy x0 in
   let diverge = chaos_diverge () in
   Mna.eval_controls_into sys ws ~t_now;
-  let rec iterate iter =
-    check_deadline ~deadline_at ~t_now ~iter;
-    Mna.assemble_into_pre sys ws ~opts ~x ~reactive;
-    (match Mna.solve_in_place sys ws ~opts with
-    | () -> ()
-    | exception L.Singular { row; pivot } ->
-      sick_singular ~t_now ~iter ~row ~pivot);
-    let worst = apply_update ~opts ~n_node_unknowns x (Mna.solution ws) in
-    chaos_nan x;
-    if opts.health_guards then check_finite ~t_now ~iter x;
-    if (not diverge) && worst <= tolerance ~opts x then begin
-      record_solve iter;
-      x
-    end
-    else if iter >= opts.max_newton then fail ~t_now ~iter ~worst
-    else iterate (iter + 1)
+  let rec loop iter =
+    if iterate sys ws ~opts ~deadline_at ~t_now ~reactive ~diverge ~iter x
+    then x
+    else loop (iter + 1)
   in
-  iterate 1
-
-let solve sys ?ws ?deadline_at ~(opts : Options.t) ~t_now ~reactive ~x0 () =
-  if opts.naive_assembly then
-    solve_naive sys ~opts ?deadline_at ~t_now ~reactive ~x0 ()
-  else
-    let ws = match ws with Some w -> w | None -> Mna.make_workspace sys in
-    solve_ws sys ws ~opts ?deadline_at ~t_now ~reactive ~x0 ()
+  loop 1

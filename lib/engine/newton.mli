@@ -42,8 +42,8 @@ exception Timeout of { t : float; budget_s : float }
     stepping, sweeps, homotopy) should create one workspace and pass it
     to every call — the steady-state iteration then performs no matrix
     allocation at all. With [opts.naive_assembly] set, the reference
-    from-scratch assembly and allocating LU are used instead and [ws]
-    is ignored. *)
+    from-scratch assembly and allocating LU are used instead, and of
+    [ws] only its resistor override counts. *)
 val solve :
   Mna.t ->
   ?ws:Mna.workspace ->
@@ -55,45 +55,37 @@ val solve :
   unit ->
   float array
 
-(** {2 Iteration building blocks}
+(** {2 The iteration}
 
-    Exposed for {!Ensemble}, which interleaves the iterations of many
-    lanes and therefore cannot call {!solve} — but must remain
-    step-for-step identical to it per lane. Not a stable API for other
-    callers. *)
+    Exposed for {!Transient.run_lanes}, which interleaves the iterations
+    of many lanes and therefore cannot call {!solve}, but runs this same
+    body, so a lane is step-for-step identical to a solve. Not a stable
+    API for other callers. *)
 
-(** [apply_update ~opts ~n_node_unknowns x x_new] applies the clamped
-    Newton update from [x_new] onto [x] and returns the worst
-    node-voltage move (before clamping). *)
-val apply_update :
-  opts:Options.t -> n_node_unknowns:int -> float array -> float array -> float
-
-(** [tolerance ~opts x] is the convergence bound
-    [abstol + reltol * max_i |x_i|]. *)
-val tolerance : opts:Options.t -> float array -> float
-
-(** [record_solve iterations] feeds the solve/iteration telemetry for
-    one converged solve. *)
-val record_solve : int -> unit
-
-(** [fail ~t_now ~iter ~worst] counts and raises {!No_convergence}. *)
-val fail : t_now:float -> iter:int -> worst:float -> 'a
-
-(** [sick ~t_now ~iter what] counts and raises {!Numerical_health}. *)
-val sick : t_now:float -> iter:int -> string -> 'a
-
-(** [sick_singular ~t_now ~iter ~row ~pivot] counts a singular LU on
-    [engine.health.singular_lu] and raises {!Numerical_health}. *)
-val sick_singular : t_now:float -> iter:int -> row:int -> pivot:float -> 'a
-
-(** [check_finite ~t_now ~iter x] raises {!Numerical_health} (counting
-    [engine.health.nan_detected]) if [x] holds a NaN or infinity. *)
-val check_finite : t_now:float -> iter:int -> float array -> unit
+(** [iterate sys ws ~opts ~deadline_at ~t_now ~reactive ~diverge ~iter x]
+    performs Newton iteration number [iter] on [x] in place: the
+    deadline poll, the assembly ({!Mna.assemble} with [ws]'s resistor
+    override under [opts.naive_assembly], else {!Mna.assemble_into_pre}
+    from the controls last evaluated into [ws]), the LU solve (a
+    singular pivot becomes {!Numerical_health}), the clamped update, the
+    [Inject_nan_state] chaos site, the finiteness guard and the
+    convergence test. Returns [true] once [x] has converged, feeding the
+    solve telemetry, and [false] when another iteration is due; raises
+    {!No_convergence} at [opts.max_newton] iterations, and always while
+    [diverge] (the forced-divergence chaos verdict) holds. Allocates
+    nothing on the incremental path. *)
+val iterate :
+  Mna.t ->
+  Mna.workspace ->
+  opts:Options.t ->
+  deadline_at:(float * float) option ->
+  t_now:float ->
+  reactive:Mna.reactive ->
+  diverge:bool ->
+  iter:int ->
+  float array ->
+  bool
 
 (** [chaos_diverge ()] queries the [Force_newton_diverge] chaos site —
     [true] forces this solve to run to its iteration cap. *)
 val chaos_diverge : unit -> bool
-
-(** [chaos_nan x] queries the [Inject_nan_state] chaos site and, when it
-    fires, poisons [x.(0)] with a NaN. *)
-val chaos_nan : float array -> unit

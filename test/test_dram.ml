@@ -665,6 +665,61 @@ let test_batch_matches_scalar_retention_stream () =
   batch_vs_scalar ~tag:"B2/pause" ~kind:D.Bridge_to_neighbour
     ~placement:D.True_bl ~rs ops
 
+let test_batch_honours_naive_assembly () =
+  (* a multi-lane run with [naive_assembly] assembles every lane from
+     scratch, its resistor override included: the incremental template
+     is never built, and the lanes agree with incremental lanes to 1e-9 *)
+  let module Tel = Dramstress_util.Telemetry in
+  let ops = [ O.W1; O.W0; O.R ] in
+  let lanes =
+    List.map
+      (fun r ->
+        { O.defect = Some (D.v (D.Open_cell D.At_bitline_contact) D.True_bl r);
+          vc_init = 0.0 })
+      [ 2e5; 6e5 ]
+  in
+  let batch sim =
+    O.run_batch ~sim ~cache:(O.Cache.create ~enabled:false ()) ~stress:nominal
+      ~lanes ops
+  in
+  let rebuilds () =
+    Option.value ~default:0
+      (List.assoc_opt "engine.mna.template_rebuilds"
+         (Tel.snapshot ()).Tel.counters)
+  in
+  let fb0 = O.lane_fallbacks () in
+  let was_enabled = Tel.enabled () in
+  Tel.set_enabled true;
+  let before = rebuilds () in
+  let naive =
+    batch { E.Options.default with E.Options.naive_assembly = true }
+  in
+  let naive_rebuilds = rebuilds () - before in
+  Tel.set_enabled was_enabled;
+  let incremental = batch E.Options.default in
+  Alcotest.(check int) "no lane fell back" fb0 (O.lane_fallbacks ());
+  Alcotest.(check int) "naive lanes build no template" 0 naive_rebuilds;
+  List.iteri
+    (fun i (n, inc) ->
+      match (n, inc) with
+      | Ok n, Ok inc ->
+        let close what a b =
+          Array.iteri
+            (fun k v ->
+              if not (rel_close 1e-9 v b.(k)) then
+                Alcotest.failf "lane %d %s sample %d: naive %.12g, incremental \
+                                %.12g" i what k v b.(k))
+            a
+        in
+        Array.iteri
+          (fun p row ->
+            close "probe" row inc.O.trace.E.Transient.probe_values.(p))
+          n.O.trace.E.Transient.probe_values;
+        close "final_v" n.O.trace.E.Transient.final_v
+          inc.O.trace.E.Transient.final_v
+      | _ -> Alcotest.failf "lane %d failed" i)
+    (List.combine naive incremental)
+
 let test_batch_exhausted_lane_isolated () =
   (* a lane with a non-finite initial state dies inside the ensemble,
      falls back to the scalar ladder, exhausts it, and surfaces as an
@@ -1043,6 +1098,7 @@ let () =
           tc "retention stream matches scalar"
             test_batch_matches_scalar_retention_stream;
           tc "exhausted lane isolated" test_batch_exhausted_lane_isolated;
+          tc "lanes honour naive assembly" test_batch_honours_naive_assembly;
         ] );
       ( "extended stress axes",
         [

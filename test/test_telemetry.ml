@@ -227,11 +227,11 @@ let test_cache_counters_reconcile () =
   Alcotest.(check int) "repeat sweep adds no misses" mid.misses st.misses;
   Alcotest.(check bool) "repeat sweep hits the cache" true
     (st.hits > mid.hits);
-  (* every electrical simulation is one transient run (scalar path) or
-     one ensemble lane (batched path); with no retries or lane
-     fallbacks in this healthy sweep the ledgers reconcile exactly *)
-  Alcotest.(check int) "misses = transient runs + ensemble lanes" st.misses
-    (cval snap "engine.transient.runs" + cval snap "engine.ensemble.lanes");
+  (* every electrical simulation is one integrator lane, alone or with
+     batch mates; with no retries or lane fallbacks in this healthy
+     sweep the ledgers reconcile exactly *)
+  Alcotest.(check int) "misses = integrator lanes" st.misses
+    (cval snap "engine.ensemble.lanes");
   Alcotest.(check int) "no lane fell back to the scalar ladder" 0
     (O.lane_fallbacks ());
   (* and the planes themselves agree *)
