@@ -299,7 +299,7 @@ let perf_engine_ab () =
   let sim_fast = Dramstress_engine.Options.default in
   let defect = D.v open_kind D.True_bl 200e3 in
   (* --- transient step cost, ns per accepted time point ------------- *)
-  O.set_caching false;
+  O.Cache.set_enabled O.Cache.default false;
   let trace_points sim =
     let oc = O.run ~sim ~stress:nominal ~defect ~vc_init:2.4 [ O.W0 ] in
     Array.length oc.O.trace.Dramstress_engine.Transient.times
@@ -361,12 +361,12 @@ let perf_engine_ab () =
       (C.Plane.read_plane ~sim ~config ~jobs:1 ~n_ops:2 ~rops ~stress:nominal
          ~kind:open_kind ~placement:D.True_bl ())
   in
-  O.set_caching false;
+  O.Cache.set_enabled O.Cache.default false;
   let plane_naive = wall (plane_sweep ~config:one_lane_cfg sim_naive) in
-  O.set_caching true;
-  O.set_cache_capacity 512 (* fresh cache: zero stats, cold start *);
+  O.Cache.set_enabled O.Cache.default true;
+  O.Cache.resize O.Cache.default 512 (* fresh cache: zero stats, cold start *);
   let plane_fast = wall (plane_sweep ~config:one_lane_cfg sim_fast) in
-  let cache = O.cache_stats () in
+  let cache = O.Cache.stats O.Cache.default in
   let hit_rate =
     let total = cache.O.hits + cache.O.misses in
     if total = 0 then 0.0 else float_of_int cache.O.hits /. float_of_int total
@@ -376,7 +376,7 @@ let perf_engine_ab () =
      as ensemble lanes through the shared sparse LU instead of one
      transient per point. The tripwire is the tentpole acceptance: the
      batched sweep must beat the naive baseline by >= 5x. *)
-  O.set_cache_capacity 512;
+  O.Cache.resize O.Cache.default 512;
   let plane_batched = wall (plane_sweep ~config:batched_cfg sim_fast) in
   let batch_speedup = ratio plane_naive plane_batched in
   let batch_speedup_limit = 5.0 in
@@ -496,18 +496,18 @@ let perf_engine_ab () =
            ())
     done
   in
-  O.set_caching false;
+  O.Cache.set_enabled O.Cache.default false;
   let shmoo_naive = wall (shmoo_row sim_naive) in
-  O.set_cache_capacity 512;
-  O.set_caching true;
+  O.Cache.resize O.Cache.default 512;
+  O.Cache.set_enabled O.Cache.default true;
   let shmoo_fast = wall (shmoo_row sim_fast) in
-  O.set_cache_capacity 512;
+  O.Cache.resize O.Cache.default 512;
   (* --- adaptive planner tripwire ------------------------------------ *)
   (* The PR-7 acceptance: on a dense border window the adaptive campaign
      planner must reach the exact grid-strategy borders from >= 5x fewer
      simulated points. Two campaigns identical but for the strategy
      field, each against a fresh store and a cleared solver cache;
-     [O.simulations] counts solver cache misses — the honest cost metric
+     the cache's [misses] count solver runs — the honest cost metric
      (store reuse and LRU hits are free). *)
   let module Cm = Dramstress_campaign.Manifest in
   let module Cr = Dramstress_campaign.Runner in
@@ -540,10 +540,10 @@ let perf_engine_ab () =
   let run_planner strategy =
     let m = Cm.of_string (planner_manifest strategy) in
     with_temp_store m.Cm.name @@ fun store ->
-    O.clear_cache ();
-    let before = O.simulations () in
+    O.Cache.clear O.Cache.default;
+    let before = (O.Cache.stats O.Cache.default).O.misses in
     let r = Cr.run ~jobs:1 ~store m in
-    (r, O.simulations () - before)
+    (r, (O.Cache.stats O.Cache.default).O.misses - before)
   in
   let planner_grid, planner_grid_sims = run_planner "grid" in
   let planner_adaptive, planner_adaptive_sims = run_planner "adaptive" in
@@ -562,7 +562,39 @@ let perf_engine_ab () =
          planner_grid.Cr.results planner_adaptive.Cr.results
   in
   let planner_ok = planner_ratio >= planner_limit && planner_parity in
-  O.set_cache_capacity 512;
+  O.Cache.resize O.Cache.default 512;
+  (* --- prefix reuse on one Table 1 row ------------------------------ *)
+  (* Deterministic tripwire for the op-prefix resume of the memo cache:
+     one Sc_eval row (O1 on the true bit line, nominal SC) on a cold
+     cache. The nested detection conditions w1^k w0 r share their write
+     prefix, so a share of every lane's grid is resumed from cached
+     op-boundary states instead of integrated. The row must equal a
+     cache-off run exactly, and the skipped share may not fall below
+     the measured share minus 10 % of it. *)
+  let prefix_row () =
+    C.Sc_eval.evaluate ~nominal ~kind:open_kind ~placement:D.True_bl ()
+  in
+  let c_steps = Tel.Counter.make "engine.transient.steps_accepted" in
+  O.Cache.clear O.Cache.default;
+  let was_enabled = Tel.enabled () in
+  Tel.set_enabled true;
+  let steps0 = Tel.Counter.value c_steps and p0 = O.prefix_stats () in
+  let row_cached = prefix_row () in
+  let prefix_steps = Tel.Counter.value c_steps - steps0 in
+  let prefix_skipped =
+    (O.prefix_stats ()).O.steps_skipped - p0.O.steps_skipped
+  in
+  Tel.set_enabled was_enabled;
+  O.Cache.set_enabled O.Cache.default false;
+  let row_uncached = prefix_row () in
+  O.Cache.set_enabled O.Cache.default true;
+  O.Cache.resize O.Cache.default 512;
+  let prefix_parity = compare row_cached row_uncached = 0 in
+  let prefix_share =
+    float_of_int prefix_skipped /. float_of_int (prefix_steps + prefix_skipped)
+  in
+  let prefix_limit = 0.208 in
+  let prefix_ok = prefix_parity && prefix_share >= prefix_limit in
   (* --- disabled-telemetry overhead guard ---------------------------- *)
   (* The probes are compiled into the hot path, so there is no probe-free
      build to A/B against. Bound the overhead arithmetically instead:
@@ -586,7 +618,7 @@ let perf_engine_ab () =
     in
     1e9 *. dt /. float_of_int (2 * probe_reps)
   in
-  O.set_caching false;
+  O.Cache.set_enabled O.Cache.default false;
   Tel.set_enabled true;
   Tel.reset ();
   ignore (O.run ~sim:sim_fast ~stress:nominal ~defect ~vc_init:2.4 [ O.W0 ]);
@@ -610,7 +642,7 @@ let perf_engine_ab () =
     + (3 * cval "dram.ops.requests")
   in
   Tel.reset ();
-  O.set_caching true;
+  O.Cache.set_enabled O.Cache.default true;
   (* wall time of the same op with telemetry off: step_fast ns/point *)
   let op_wall_s = step_fast *. float_of_int n_pts /. 1e9 in
   let overhead_pct =
@@ -646,6 +678,13 @@ let perf_engine_ab () =
     planner_ratio planner_limit
     (if planner_parity then "ok" else "VIOLATED")
     (if planner_ok then "ok" else "BELOW");
+  Printf.printf
+    "  %-34s %d integrated, %d skipped, share %.3f (limit %.3f, parity %s: \
+     %s)\n"
+    "prefix reuse, O1 true row (steps)" prefix_steps prefix_skipped
+    prefix_share prefix_limit
+    (if prefix_parity then "ok" else "VIOLATED")
+    (if prefix_ok then "ok" else "BELOW");
   Printf.printf "  %-34s naive %10.0f   incremental %10.0f   (limit %.0f: %s)\n"
     "minor words / point" words_naive words_fast alloc_limit
     (if alloc_ok then "ok" else "EXCEEDED");
@@ -679,6 +718,9 @@ let perf_engine_ab () =
       \  \"adaptive_planner\": { \"grid_simulations\": %d, \
        \"adaptive_simulations\": %d, \"ratio\": %.2f, \"limit\": %.1f, \
        \"parity\": %b, \"within_limit\": %b },\n\
+      \  \"prefix_reuse\": { \"steps_integrated\": %d, \"steps_skipped\": \
+       %d, \"skip_share\": %.4f, \"limit\": %.4f, \"parity\": %b, \
+       \"within_limit\": %b },\n\
       \  \"plane_cache\": { \"hits\": %d, \"misses\": %d, \"hit_rate\": %.3f \
        },\n\
       \  \"minor_words_per_point\": { \"naive\": %.0f, \"incremental\": %.0f, \
@@ -695,7 +737,8 @@ let perf_engine_ab () =
       shmoo_fast
       (ratio shmoo_naive shmoo_fast)
       planner_grid_sims planner_adaptive_sims planner_ratio planner_limit
-      planner_parity planner_ok cache.O.hits cache.O.misses hit_rate
+      planner_parity planner_ok prefix_steps prefix_skipped prefix_share
+      prefix_limit prefix_parity prefix_ok cache.O.hits cache.O.misses hit_rate
       words_naive words_fast alloc_limit alloc_ok probe_ns probe_calls
       overhead_pct overhead_limit_pct overhead_ok
   in
@@ -725,7 +768,7 @@ let resilience () =
   in
   (* memo cache off so the replay speedup measures the checkpoint store,
      not the in-process LRU *)
-  O.set_caching false;
+  O.Cache.set_enabled O.Cache.default false;
   let plain = wall (sweep ?checkpoint:None) in
   let path = Filename.temp_file "dramstress_bench" ".ckpt" in
   let ck = Ck.open_ path in
@@ -735,7 +778,7 @@ let resilience () =
   let resumed = wall (sweep ~checkpoint:ck) in
   Ck.close ck;
   Sys.remove path;
-  O.set_caching true;
+  O.Cache.set_enabled O.Cache.default true;
   (* retry ladder: a solver starved to one Newton iteration per solve
      fails immediately; a damped-Newton stage rescues it *)
   let sim_tight = { Dramstress_engine.Options.default with max_newton = 1 } in
@@ -749,7 +792,7 @@ let resilience () =
       ()
   in
   let defect = D.v open_kind D.True_bl 200e3 in
-  O.set_caching false;
+  O.Cache.set_enabled O.Cache.default false;
   let direct =
     wall (fun () ->
         ignore (O.run ~stress:nominal ~defect ~vc_init:2.4 [ O.W0 ]))
@@ -760,7 +803,7 @@ let resilience () =
           (O.run ~config:rescue_cfg ~stress:nominal ~defect ~vc_init:2.4
              [ O.W0 ]))
   in
-  O.set_caching true;
+  O.Cache.set_enabled O.Cache.default true;
   let ratio a b = if b > 0.0 then a /. b else Float.nan in
   Printf.printf "  %-40s %10.4f s\n" "plane sweep, no checkpoint" plain;
   Printf.printf "  %-40s %10.4f s   (overhead %+.1f%%)\n"
@@ -813,7 +856,7 @@ let health () =
      deadline never trips, so only the clock reads are priced in *)
   let cfg_deadline = Sc.v ~retry:Sc.no_retry ~deadline:3600.0 ~lanes:1 () in
   let defect = D.v open_kind D.True_bl 200e3 in
-  O.set_caching false;
+  O.Cache.set_enabled O.Cache.default false;
   (* --- single-op cost, best of several trials to shed scheduler noise *)
   let reps = 20 and trials = 5 in
   let op_s config =
@@ -895,7 +938,7 @@ let health () =
   in
   let iters = cval "engine.newton.iterations" in
   Tel.reset ();
-  O.set_caching true;
+  O.Cache.set_enabled O.Cache.default true;
   (* the deadline clock is read once per 16 checks, with the poll phase
      carried across solves, so an op of k total Newton iterations reads
      the clock ~k/16 times *)
@@ -977,7 +1020,7 @@ let campaign () =
   let n = List.length points in
   (* the in-process LRU would serve repeat runs from memory and hide the
      store entirely; disable it so every number prices the store *)
-  O.set_caching false;
+  O.Cache.set_enabled O.Cache.default false;
   (* fork the sandbox worker now, while this process is still
      fork-capable and with caching disabled so the worker prices the
      same physics; a process that already spawned domains (earlier
@@ -1093,7 +1136,7 @@ let campaign () =
   in
   let w_cold, _ = wall run_wait in
   let w_warm, w_warm_sum = wall run_wait in
-  O.set_caching true;
+  O.Cache.set_enabled O.Cache.default true;
   let ratio a b = if b > 0.0 then a /. b else Float.nan in
   let write_overhead_pct = 100.0 *. (ratio cold direct -. 1.0) in
   let warm_speedup = ratio cold warm in
@@ -1223,9 +1266,9 @@ let perf () =
   in
   (* memoization off: the micro-benchmarks time the simulation itself,
      not cache lookups *)
-  O.set_caching false;
+  O.Cache.set_enabled O.Cache.default false;
   let raw = Benchmark.all cfg instances tests in
-  O.set_caching true;
+  O.Cache.set_enabled O.Cache.default true;
   let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
   Hashtbl.iter
     (fun name ols_result ->

@@ -253,9 +253,10 @@ let telemetry_setup metrics metrics_out trace =
     | None -> ()
     | Some fmt ->
       let snap = Tel.snapshot () in
-      let cache = O.cache_stats () in
+      let cache = O.Cache.stats O.Cache.default in
       let ens = Dramstress_engine.Transient.stats () in
       let slu = Dramstress_util.Sparse_lu.stats () in
+      let prefix = O.prefix_stats () in
       let write_to default_channel out =
         match metrics_out with
         | Some file ->
@@ -283,6 +284,10 @@ let telemetry_setup metrics metrics_out trace =
               ens.Dramstress_engine.Transient.masked_lane_iters
               ens.Dramstress_engine.Transient.lane_failures
               (O.lane_fallbacks ())
+          ^ Printf.sprintf
+              "prefix resumes: %d lanes started from a cached op boundary, \
+               %d grid steps skipped\n"
+              prefix.O.resumes prefix.O.steps_skipped
           ^ Printf.sprintf
               "sparse LU: %d analyses (+%d stale reruns), %d numeric \
                refactors, %d symbolic reuses\n"
@@ -815,7 +820,7 @@ let chaos_cmd =
       let stress = S.nominal in
       let kind = D.Open_cell D.At_bitline_contact and placement = D.True_bl in
       let rops = Dramstress_util.Grid.logspace 1e3 1e6 4 in
-      O.clear_cache ();
+      O.Cache.clear O.Cache.default;
       Chaos.disarm ();
       let clean = C.Report.figure2 ~rops ~stress ~kind ~placement () in
       let path = Filename.temp_file "dramstress_chaos_ck" ".jsonl" in
@@ -823,7 +828,7 @@ let chaos_cmd =
         ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
         (fun () ->
           Chaos.configure ~seed "truncate_checkpoint@2";
-          O.clear_cache ();
+          O.Cache.clear O.Cache.default;
           let store = Ck.open_ path in
           let chaotic =
             C.Report.figure2 ~checkpoint:store ~rops ~stress ~kind ~placement
@@ -836,7 +841,7 @@ let chaos_cmd =
             (String.equal chaotic clean);
           finish_class Chaos.Truncate_checkpoint;
           Chaos.disarm ();
-          O.clear_cache ();
+          O.Cache.clear O.Cache.default;
           let store = Ck.open_ ~resume:true path in
           let resumed =
             C.Report.figure2 ~checkpoint:store ~rops ~stress ~kind ~placement

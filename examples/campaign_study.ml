@@ -38,7 +38,7 @@ let () =
   Format.printf "first run:  %a@." Cp.Runner.pp_summary first;
 
   (* second run, fresh handle: everything must come back from disk *)
-  Ops.clear_cache ();
+  Ops.Cache.clear Ops.Cache.default;
   let second = with_store (fun s -> Cp.Runner.run ~store:s m) in
   Format.printf "second run: %a@.@." Cp.Runner.pp_summary second;
   assert (second.Cp.Runner.simulated = 0);

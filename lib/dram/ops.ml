@@ -12,6 +12,8 @@ let c_retry_attempts = Tel.Counter.make "dram.ops.retry_attempts"
 let c_degraded = Tel.Counter.make "dram.ops.degraded_runs"
 let c_failed = Tel.Counter.make "dram.ops.failed_runs"
 let c_deadline = Tel.Counter.make "dram.ops.deadline_exceeded"
+let c_prefix_resumes = Tel.Counter.make "dram.ops.prefix_resumes"
+let c_prefix_skipped = Tel.Counter.make "dram.ops.prefix_steps_skipped"
 
 (* which escalation stage finally rescued a degraded run: 1 = first
    retry stage, 2 = second, ... — the policy's effectiveness profile *)
@@ -24,6 +26,10 @@ exception
 
 let () =
   Printexc.register_printer (function
+    | Exhausted_retries { error; attempts = 0; _ } ->
+      Some
+        (Printf.sprintf "Ops.Exhausted_retries { not retried; error: %s }"
+           (Printexc.to_string error))
     | Exhausted_retries { error; attempts; stages } ->
       Some
         (Printf.sprintf
@@ -119,8 +125,11 @@ let effective_ops ~(stress : Stress.t) ops =
     insert ops
 
 (* Expand the op list into control-signal step events and time segments.
-   Returns (controls, segments, schedule) where schedule carries the
-   per-op absolute instants needed to interpret the trace. *)
+   Returns (controls, segments, schedule, op_ends, phases): schedule
+   carries the per-op absolute instants needed to interpret the trace,
+   op_ends the index of each op's last segment (its boundary state is
+   recorded there). Both are per effective op; every op pushes at least
+   one segment. *)
 let plan ~(tech : Tech.t) ~(stress : Stress.t) ~inverted ~steps_per_cycle ops =
   let ops = effective_ops ~stress ops in
   let ph = Timing.phases tech stress in
@@ -133,6 +142,7 @@ let plan ~(tech : Tech.t) ~(stress : Stress.t) ~inverted ~steps_per_cycle ops =
   let wacc_hi = ref [] and wacc_lo = ref [] in
   let wref_hi = ref [] and wref_lo = ref [] in
   let segments = ref [] and schedule = ref [] in
+  let op_ends = ref [] and n_segs = ref 0 in
   let push r ev = r := ev :: !r in
   let active_cycle off op =
     (* a hammer cycle activates the neighbour (aggressor) row: same
@@ -166,7 +176,8 @@ let plan ~(tech : Tech.t) ~(stress : Stress.t) ~inverted ~steps_per_cycle ops =
       push colsel (off +. ph.Timing.t_decide, 1.0);
       push colsel (off +. ph.Timing.t_wl_off, 0.0)
     | Pause _ | Ham _ -> ());
-    push segments (off +. ph.Timing.t_cyc, dt_active)
+    push segments (off +. ph.Timing.t_cyc, dt_active);
+    incr n_segs
   in
   let off = ref 0.0 in
   List.iter
@@ -176,6 +187,7 @@ let plan ~(tech : Tech.t) ~(stress : Stress.t) ~inverted ~steps_per_cycle ops =
       | Pause d ->
         let dt_pause = Float.max dt_active (d /. 1000.0) in
         push segments (t_start +. d, dt_pause);
+        incr n_segs;
         off := t_start +. d
       | Ham n ->
         for i = 0 to n - 1 do
@@ -185,6 +197,7 @@ let plan ~(tech : Tech.t) ~(stress : Stress.t) ~inverted ~steps_per_cycle ops =
       | W0 | W1 | R ->
         active_cycle t_start op;
         off := t_start +. ph.Timing.t_cyc);
+      push op_ends (!n_segs - 1);
       push schedule (op, t_start, !off))
     ops;
   let mk v0 events = W.pwl_steps ~t_edge:tech.Tech.t_edge v0 (List.rev events) in
@@ -202,7 +215,7 @@ let plan ~(tech : Tech.t) ~(stress : Stress.t) ~inverted ~steps_per_cycle ops =
       colsel = mk 0.0 !colsel;
     }
   in
-  (controls, List.rev !segments, List.rev !schedule, ph)
+  (controls, List.rev !segments, List.rev !schedule, List.rev !op_ends, ph)
 
 (* ------------------------------------------------------------------ *)
 (* Transient memo cache                                                *)
@@ -215,15 +228,21 @@ let plan ~(tech : Tech.t) ~(stress : Stress.t) ~inverted ~steps_per_cycle ops =
    simulation fingerprint — everything [run] depends on — makes those
    repeats free.
 
+   They also run sequences that share an op prefix: the nested detection
+   conditions w1^k w0 r are searched one after another at the same
+   resistances. So a cached entry also keeps its run's integrator state
+   after every op, and a miss that starts with ops a cached run of the
+   same point integrated starts its lane there instead of at t = 0.
+
    Domain-safety choice: ONE shared cache guarded by a mutex, rather
    than per-domain caches merged after the fact. The critical section is
    a hash lookup (microseconds) while a miss costs an entire transient
    simulation (milliseconds to seconds), so contention is negligible and
    a shared cache lets parallel sweep workers reuse each other's results
    mid-sweep — per-domain caches would only merge after the sweep ends,
-   too late to save anything. Outcomes are immutable once constructed
+   too late to save anything. Entries are immutable once constructed
    (the trace's interp table is built eagerly in Transient.run), so
-   handing the same outcome to several domains is safe. *)
+   handing the same entry to several domains is safe. *)
 
 type cache_key = {
   k_tech : Tech.t;
@@ -235,6 +254,21 @@ type cache_key = {
   k_v_neighbour : float option;
   k_ops : op list;
 }
+
+(* A run's states after each of its effective ops, and what they hold
+   beyond the point's key: the configuration actually integrated (a
+   degraded retry stage's, for an outcome cached under the base key) and
+   whether r_defect was stamped as a per-lane override. *)
+type resume_src = {
+  r_sim : E.Options.t option;
+  r_steps : int;
+  r_override : bool;
+  r_ops : op array;
+  r_states : E.Transient.snapshot option array;
+}
+
+(* [src] is [None] when the run was made with the cache disabled *)
+type entry = { outcome : outcome; src : resume_src option }
 
 module Lru = Dramstress_util.Lru
 
@@ -250,7 +284,7 @@ module Cache = struct
 
   type t = {
     lock : Mutex.t;
-    mutable lru : (cache_key, outcome) Lru.t;
+    mutable lru : (cache_key, entry) Lru.t;
     enabled : bool Atomic.t;
     request_count : int Atomic.t;
   }
@@ -276,9 +310,8 @@ module Cache = struct
   let is_enabled t = Atomic.get t.enabled
   let with_lru t f = Mutex.protect t.lock (fun () -> f t.lru)
 
-  (* a fresh LRU means fresh hit/miss/eviction statistics (the original
-     [set_cache_capacity] semantics); the request counter is independent
-     of the storage and survives *)
+  (* a fresh LRU means fresh hit/miss/eviction statistics; the request
+     counter is independent of the storage and survives *)
   let resize t capacity =
     Mutex.protect t.lock (fun () -> t.lru <- Lru.create ~capacity ())
 
@@ -309,20 +342,62 @@ type cache_stats = Cache.stats = {
   capacity : int;
 }
 
-(* -- backward-compatible wrappers over [Cache.default] -------------- *)
+(* always-on mirrors of the prefix-resume counters *)
+let g_prefix_resumes = Atomic.make 0
+let g_prefix_skipped = Atomic.make 0
 
-let run_count () = Cache.requests Cache.default
-let reset_run_count () = Cache.reset_requests Cache.default
-let set_caching on = Cache.set_enabled Cache.default on
-let caching_enabled () = Cache.is_enabled Cache.default
-let set_cache_capacity n = Cache.resize Cache.default n
-let clear_cache () = Cache.clear Cache.default
-let cache_stats () = Cache.stats Cache.default
+type prefix_stats = { resumes : int; steps_skipped : int }
 
-(* the planner's cost metric: requests that actually reached the solver
-   (integrator lanes), i.e. what the paper counts as "simulations".
-   Cached replays are free and excluded. *)
-let simulations () = (Cache.stats Cache.default).misses
+let prefix_stats () =
+  {
+    resumes = Atomic.get g_prefix_resumes;
+    steps_skipped = Atomic.get g_prefix_skipped;
+  }
+
+let reset_prefix_stats () =
+  Atomic.set g_prefix_resumes 0;
+  Atomic.set g_prefix_skipped 0
+
+(* the same point as [b]: everything of the key but the configuration
+   and the sequence *)
+let same_point (a : cache_key) (b : cache_key) =
+  a.k_vc_init = b.k_vc_init
+  && a.k_defect = b.k_defect
+  && a.k_v_neighbour = b.k_v_neighbour
+  && (a.k_stress == b.k_stress || a.k_stress = b.k_stress)
+  && (a.k_tech == b.k_tech || a.k_tech = b.k_tech)
+
+(* The cached run to resume the miss [key] from: among the entries of
+   the same point integrated under the key's configuration and stamping
+   mode [override], the one sharing the longest proper prefix of the
+   effective sequence [ops] with a state recorded after it. Returns the
+   source, its trace and the prefix length. *)
+let find_resume lru ~(key : cache_key) ~override ~ops =
+  let n = Array.length ops in
+  let best = ref None and best_m = ref 0 in
+  Lru.iter
+    (fun k e ->
+      match e.src with
+      | Some src
+        when src.r_override = override
+             && src.r_steps = key.k_steps
+             && same_point k key
+             && src.r_sim = key.k_sim ->
+        let lim = Int.min (n - 1) (Array.length src.r_ops) in
+        let m = ref 0 in
+        while !m < lim && src.r_ops.(!m) = ops.(!m) do
+          incr m
+        done;
+        while !m > !best_m && src.r_states.(!m - 1) = None do
+          decr m
+        done;
+        if !m > !best_m then begin
+          best := Some (src, e.outcome.trace);
+          best_m := !m
+        end
+      | Some _ | None -> ())
+    lru;
+  Option.map (fun (src, trace) -> (src, trace, !best_m)) !best
 
 (* ------------------------------------------------------------------ *)
 (* Retry / degradation ladder                                          *)
@@ -405,15 +480,25 @@ let netlist_knobs ~(tech : Tech.t) ~(stress : Stress.t) =
 
 type lane = { defect : D.t option; vc_init : float }
 
+let key_of ~(cfg : Sim_config.t) ~stress ~v_neighbour ops l =
+  { k_tech = cfg.Sim_config.tech; k_stress = stress; k_sim = cfg.Sim_config.sim;
+    k_steps = cfg.Sim_config.steps_per_cycle; k_defect = l.defect;
+    k_vc_init = l.vc_init; k_v_neighbour = v_neighbour; k_ops = ops }
+
 (* one integrator run for [lanes] (one defect kind and placement): plan
    the sequence, build the column once with the first lane's defect,
    integrate every lane and interpret each trace. A lane whose defect is
    the one the column was built with rides at the netlist value; only a
    run whose lanes differ in resistance overrides [r_defect] per lane,
    which takes the resistor out of the static template for every lane
-   of that run. *)
-let execute ~(cfg : Sim_config.t) ?deadline_at ?v_neighbour ~stress ~lanes ops
-    =
+   of that run.
+
+   With the cache enabled, each lane starts from the cached run of its
+   point that shares the longest op prefix with this one, and the run
+   records every lane's state after each op for the entries it
+   returns. *)
+let execute ~(cfg : Sim_config.t) ~cache ?deadline_at ?v_neighbour ~stress
+    ~lanes ops =
   let tech = cfg.Sim_config.tech in
   let vdd = stress.Stress.vdd in
   let defect0 = lanes.(0).defect in
@@ -422,7 +507,7 @@ let execute ~(cfg : Sim_config.t) ?deadline_at ?v_neighbour ~stress ~lanes ops
     | Some { D.placement = D.Comp_bl; _ } -> true
     | Some { D.placement = D.True_bl; _ } | None -> false
   in
-  let controls, segments, schedule, ph =
+  let controls, segments, schedule, op_ends, ph =
     plan ~tech ~stress ~inverted
       ~steps_per_cycle:cfg.Sim_config.steps_per_cycle ops
   in
@@ -434,9 +519,24 @@ let execute ~(cfg : Sim_config.t) ?deadline_at ?v_neighbour ~stress ~lanes ops
     let base = Option.value cfg.Sim_config.sim ~default:E.Options.default in
     { base with E.Options.temp = Stress.temp_kelvin stress }
   in
+  let override = Array.exists (fun l -> l.defect <> defect0) lanes in
+  let cached = Cache.is_enabled cache in
+  let eff_ops = Array.of_list (List.map (fun (op, _, _) -> op) schedule) in
+  let snapshot_at = if cached then Array.of_list op_ends else [||] in
+  let resumes =
+    if cached then
+      Cache.with_lru cache (fun lru ->
+          Array.map
+            (fun l ->
+              find_resume lru
+                ~key:(key_of ~cfg ~stress ~v_neighbour ops l)
+                ~override ~ops:eff_ops)
+            lanes)
+    else Array.map (fun _ -> None) lanes
+  in
   let elanes =
-    Array.map
-      (fun l ->
+    Array.mapi
+      (fun li l ->
         (* per-lane pattern resolution: a checkerboard neighbour depends
            on the lane's own vc_init *)
         let v_nb =
@@ -450,75 +550,114 @@ let execute ~(cfg : Sim_config.t) ?deadline_at ?v_neighbour ~stress ~lanes ops
             (match l.defect with
             | Some d when l.defect <> defect0 -> Some ("r_defect", d.D.r)
             | Some _ | None -> None);
+          resume =
+            Option.map
+              (fun (src, (trace : E.Transient.result), m) ->
+                ( Option.get src.r_states.(m - 1),
+                  trace.E.Transient.probe_values ))
+              resumes.(li);
         })
       lanes
   in
-  E.Transient.run_lanes built.Column.compiled ~opts ?deadline_at ~segments
-    ~lanes:elanes ~probes:built.Column.probes ()
-  |> Array.map (Result.map (interpret ~inverted ~schedule ~ph ~built))
+  let entry li (trace : E.Transient.result) =
+    let start = trace.E.Transient.start_step in
+    if start > 0 then begin
+      Tel.Counter.incr c_prefix_resumes;
+      Tel.Counter.add c_prefix_skipped start;
+      Atomic.incr g_prefix_resumes;
+      ignore (Atomic.fetch_and_add g_prefix_skipped start)
+    end;
+    let src =
+      if not cached then None
+      else begin
+        (* one state per op; a resumed lane takes those before its start
+           from its source *)
+        let own = trace.E.Transient.snapshots in
+        let r_states =
+          match resumes.(li) with
+          | Some (src, _, m) when start > 0 ->
+            Array.mapi (fun j s -> if j < m then src.r_states.(j) else s) own
+          | Some _ | None -> own
+        in
+        Some
+          {
+            r_sim = cfg.Sim_config.sim;
+            r_steps = cfg.Sim_config.steps_per_cycle;
+            r_override = override;
+            r_ops = eff_ops;
+            r_states;
+          }
+      end
+    in
+    { outcome = interpret ~inverted ~schedule ~ph ~built trace; src }
+  in
+  E.Transient.run_lanes built.Column.compiled ~opts ?deadline_at ~snapshot_at
+    ~segments ~lanes:elanes ~probes:built.Column.probes ()
+  |> Array.mapi (fun li r -> Result.map (entry li) r)
 
 (* one lane through the retry ladder: a one-lane run, then the
    configured escalation stages *)
-let execute_resilient ~(cfg : Sim_config.t) ?deadline_at ?v_neighbour ~stress
-    lane ops =
+let execute_resilient ~(cfg : Sim_config.t) ~cache ?deadline_at ?v_neighbour
+    ~stress lane ops =
   let exec c =
     match
-      (execute ~cfg:c ?deadline_at ?v_neighbour ~stress ~lanes:[| lane |] ops)
-        .(0)
+      (execute ~cfg:c ~cache ?deadline_at ?v_neighbour ~stress
+         ~lanes:[| lane |] ops).(0)
     with
-    | Ok outcome -> outcome
+    | Ok entry -> entry
     | Error e -> raise e
   in
   (* Newton.Timeout is deliberately absent: a point that exhausted its
      wall-clock budget must not walk the ladder (each stage only costs
      more wall time), so it propagates straight to the sweep layer as a
-     Failed outcome *)
+     Failed outcome. So is a singular first matrix at t = 0: every stage
+     meets the same matrix, so no stage can rescue it. *)
   let recoverable = function
-    | E.Transient.Step_failed _ | E.Newton.No_convergence _
-    | E.Newton.Numerical_health _ ->
-      true
+    | E.Transient.Step_failed _ | E.Newton.No_convergence _ -> true
+    | E.Newton.Numerical_health _ as e -> not (E.Newton.singular_at_start e)
     | _ -> false
   in
-  try exec cfg
-  with e when recoverable e ->
-    let bt = Printexc.get_raw_backtrace () in
-    let stages = cfg.Sim_config.retry.Sim_config.stages in
-    if stages = [] then Printexc.raise_with_backtrace e bt
-    else begin
-      let rec attempt c stage_idx tried last_err = function
-        | [] ->
-          Tel.Counter.incr c_failed;
-          raise
-            (Exhausted_retries
-               { error = last_err; attempts = List.length tried;
-                 stages = List.rev tried })
-        | stage :: rest -> begin
-          Tel.Counter.incr c_retry_attempts;
-          let c = degrade_config c stage in
-          let tried = Sim_config.stage_name stage :: tried in
-          match
-            Tel.with_span "ops.retry"
-              ~attrs:(fun () ->
-                [ ("stage", Tel.Str (Sim_config.stage_name stage));
-                  ("attempt", Tel.Int stage_idx) ])
-              (fun () -> exec c)
-          with
-          | outcome ->
-            Tel.Counter.incr c_degraded;
-            Tel.Histogram.observe h_retry_stage (float_of_int stage_idx);
-            outcome
-          | exception e when recoverable e ->
-            attempt c (stage_idx + 1) tried e rest
-        end
-      in
-      attempt cfg 1 [] e stages
-    end
+  let stages = cfg.Sim_config.retry.Sim_config.stages in
+  try exec cfg with
+  | e when recoverable e && stages <> [] ->
+    let rec attempt c stage_idx tried last_err = function
+      | [] ->
+        Tel.Counter.incr c_failed;
+        raise
+          (Exhausted_retries
+             { error = last_err; attempts = List.length tried;
+               stages = List.rev tried })
+      | stage :: rest -> begin
+        Tel.Counter.incr c_retry_attempts;
+        let c = degrade_config c stage in
+        let tried = Sim_config.stage_name stage :: tried in
+        match
+          Tel.with_span "ops.retry"
+            ~attrs:(fun () ->
+              [ ("stage", Tel.Str (Sim_config.stage_name stage));
+                ("attempt", Tel.Int stage_idx) ])
+            (fun () -> exec c)
+        with
+        | entry ->
+          Tel.Counter.incr c_degraded;
+          Tel.Histogram.observe h_retry_stage (float_of_int stage_idx);
+          entry
+        | exception e when recoverable e ->
+          attempt c (stage_idx + 1) tried e rest
+      end
+    in
+    attempt cfg 1 [] e stages
+  | e when E.Newton.singular_at_start e && stages <> [] ->
+    (* failed under the policy without a retry *)
+    Tel.Counter.incr c_failed;
+    raise (Exhausted_retries { error = e; attempts = 0; stages = [] })
 
-(* the full miss path of one point minus the cache: deadline pinning,
-   tracing span, deadline counting and the retry ladder. A lone miss
-   takes it directly, and so does a lane that failed inside a
+(* the full miss path of one point minus the cache lookup: deadline
+   pinning, tracing span, deadline counting and the retry ladder. A lone
+   miss takes it directly, and so does a lane that failed inside a
    multi-lane run. *)
-let execute_with_ladder ~(cfg : Sim_config.t) ?v_neighbour ~stress lane ops =
+let execute_with_ladder ~(cfg : Sim_config.t) ~cache ?v_neighbour ~stress lane
+    ops =
   (* the wall-clock budget covers the whole request — base attempt
      plus every retry stage — so it is pinned to an absolute instant
      here, once, rather than restarting per attempt *)
@@ -531,19 +670,20 @@ let execute_with_ladder ~(cfg : Sim_config.t) ?v_neighbour ~stress lane ops =
     ~attrs:(fun () -> [ ("seq", Tel.Str (seq_to_string ops)) ])
     (fun () ->
       match
-        execute_resilient ~cfg ?deadline_at ?v_neighbour ~stress lane ops
+        execute_resilient ~cfg ~cache ?deadline_at ?v_neighbour ~stress lane
+          ops
       with
-      | outcome -> outcome
+      | entry -> entry
       | exception (E.Newton.Timeout _ as e) ->
         let bt = Printexc.get_raw_backtrace () in
         Tel.Counter.incr c_deadline;
         Printexc.raise_with_backtrace e bt)
 
-let store_outcome cache key outcome =
+let store_entry cache key entry =
   if Cache.is_enabled cache then
     Cache.with_lru cache (fun c ->
         let ev0 = Lru.evictions c in
-        Lru.add c key outcome;
+        Lru.add c key entry;
         let d = Lru.evictions c - ev0 in
         if d > 0 then Tel.Counter.add c_evictions d)
 
@@ -558,6 +698,8 @@ let reset_lane_fallbacks () = Atomic.set g_lane_fallbacks 0
 let run_batch ?tech ?sim ?steps_per_cycle ?v_neighbour ?config
     ?(cache = Cache.default) ~stress ~lanes ops =
   if ops = [] then invalid_arg "Ops.run_batch: empty sequence";
+  if List.exists (function Ham n -> n < 1 | W0 | W1 | R | Pause _ -> false) ops
+  then invalid_arg "Ops.run_batch: hammer count < 1";
   if lanes = [] then invalid_arg "Ops.run_batch: no lanes";
   Stress.validate stress;
   let shape = function
@@ -577,15 +719,7 @@ let run_batch ?tech ?sim ?steps_per_cycle ?v_neighbour ?config
   (* per-lane cache keys and request/hit/miss ticks: a lane is a point,
      however many lanes share its run, and [requests = hits + misses]
      keeps holding *)
-  let keys =
-    Array.map
-      (fun l ->
-        { k_tech = cfg.Sim_config.tech; k_stress = stress;
-          k_sim = cfg.Sim_config.sim;
-          k_steps = cfg.Sim_config.steps_per_cycle; k_defect = l.defect;
-          k_vc_init = l.vc_init; k_v_neighbour = v_neighbour; k_ops = ops })
-      lanes_arr
-  in
+  let keys = Array.map (key_of ~cfg ~stress ~v_neighbour ops) lanes_arr in
   let slots : (outcome, exn) result option array = Array.make n None in
   Array.iteri
     (fun i key ->
@@ -597,9 +731,9 @@ let run_batch ?tech ?sim ?steps_per_cycle ?v_neighbour ?config
         else None
       in
       match cached with
-      | Some o ->
+      | Some e ->
         Tel.Counter.incr c_hits;
-        slots.(i) <- Some (Ok o)
+        slots.(i) <- Some (Ok e.outcome)
       | None -> Tel.Counter.incr c_misses)
     keys;
   let missing = ref [] in
@@ -609,14 +743,18 @@ let run_batch ?tech ?sim ?steps_per_cycle ?v_neighbour ?config
   (* a run rescued by a degraded stage is cached under the BASE config
      key on purpose: the base configuration cannot produce an outcome
      at all (it fails), and repeat requests should get the degraded
-     result instantly instead of re-walking the failure ladder *)
-  let finish i outcome =
-    store_outcome cache keys.(i) outcome;
-    slots.(i) <- Some (Ok outcome)
+     result instantly instead of re-walking the failure ladder. Its
+     recorded states stay keyed by the degraded configuration, so they
+     never seed a base-configuration run. *)
+  let finish i entry =
+    store_entry cache keys.(i) entry;
+    slots.(i) <- Some (Ok entry.outcome)
   in
   let ladder i =
-    match execute_with_ladder ~cfg ?v_neighbour ~stress lanes_arr.(i) ops with
-    | outcome -> finish i outcome
+    match
+      execute_with_ladder ~cfg ~cache ?v_neighbour ~stress lanes_arr.(i) ops
+    with
+    | entry -> finish i entry
     | exception e -> slots.(i) <- Some (Error e)
   in
   (match !missing with
@@ -636,20 +774,20 @@ let run_batch ?tech ?sim ?steps_per_cycle ?v_neighbour ?config
           [ ("seq", Tel.Str (seq_to_string ops));
             ("lanes", Tel.Int (List.length missing)) ])
         (fun () ->
-          execute ~cfg ?v_neighbour ~stress
+          execute ~cfg ~cache ?v_neighbour ~stress
             ~lanes:(Array.of_list (List.map (fun i -> lanes_arr.(i)) missing))
             ops)
     in
     List.iteri
       (fun j i ->
         match results.(j) with
-        | Ok outcome -> finish i outcome
+        | Ok entry -> finish i entry
         | Error _ ->
           (* the lane died inside the run (after its dt-halving
-             retries); give it what a lone miss gets — a one-lane base
-             attempt plus the retry ladder. Non-convergent lanes end up
-             as [Error Exhausted_retries] slots without disturbing
-             their batch mates. *)
+             retries, or refused its snapshot); give it what a lone miss
+             gets — a one-lane base attempt plus the retry ladder.
+             Non-convergent lanes end up as [Error Exhausted_retries]
+             slots without disturbing their batch mates. *)
           Tel.Counter.incr c_lane_fallbacks;
           Atomic.incr g_lane_fallbacks;
           ladder i)

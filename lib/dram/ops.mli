@@ -15,7 +15,8 @@
     stage of the configured retry/degradation policy
     ({!Sim_config.retry_policy}): [error] is the last solver exception,
     [attempts] how many degraded retries ran, [stages] their labels in
-    order. Sweep layers convert this into a
+    order ([0] and [[]] for a failure the policy knows no stage can
+    rescue, see {!run}). Sweep layers convert this into a
     {!Dramstress_util.Outcome.Failed} slot rather than letting it abort
     the campaign. With {!Sim_config.no_retry}, the original solver
     exception propagates unchanged instead. *)
@@ -34,9 +35,9 @@ type op =
   | R             (** read (destructive, with sense-amp restore) *)
   | Pause of float  (** idle retention time, s *)
   | Ham of int
-    (** [n] aggressor activations: full precharge/sense cycles whose
-        word-line pulse lands on the neighbour row ([wl_nb]) instead of
-        the accessed one — the read-disturb hammer *)
+    (** [n >= 1] aggressor activations: full precharge/sense cycles
+        whose word-line pulse lands on the neighbour row ([wl_nb])
+        instead of the accessed one — the read-disturb hammer *)
 
 val pp_op : Format.formatter -> op -> unit
 
@@ -97,6 +98,28 @@ val sensed_bits : outcome -> int list
     handle. A handle is shared across domains and guarded internally by
     a mutex; cached outcomes are immutable.
 
+    {b Prefix resumes.} A cached outcome also keeps its run's integrator
+    state after every op of the effective sequence
+    ({!Dramstress_engine.Transient.snapshot}). A miss whose effective
+    sequence starts with ops that a cached run of the same point (same
+    technology, stress, defect, initial voltages) integrated starts its
+    lane at the longest such proper prefix instead of t = 0 and copies
+    the prefix's probe samples from that run's trace; the sweep layers
+    search the nested detection conditions [w1^k w0 r] one after the
+    other, so each search re-uses the write prefix of the previous one.
+    The outcome is bit-identical to a run from t = 0: the step grid is
+    walked from t = 0, so a shared prefix has the same grid points and
+    control values, and a state is only reused under the configuration
+    actually integrated (a degraded retry stage's states never seed a
+    base-configuration run), in the same resistor stamping mode (the
+    defect resistor in the shared template, or stamped per lane in a
+    run whose lanes differ in resistance) and under the same sparse-LU
+    pivot order. The states live and die with their outcome: there is
+    no separate capacity, {!Cache.clear} drops them, and a disabled
+    cache neither records nor resumes. Resumes feed the
+    [dram.ops.prefix_resumes] / [dram.ops.prefix_steps_skipped]
+    counters and {!prefix_stats}.
+
     Caching is on by default; set the environment variable
     [DRAMSTRESS_CACHE] to [off]/[0]/[false]/[no] (read when a handle is
     created) or call {!Cache.set_enabled} to disable it.
@@ -119,7 +142,9 @@ module Cache : sig
   type stats = {
     requests : int;   (** run requests, cached or not *)
     hits : int;       (** requests served from the cache *)
-    misses : int;     (** requests that ran an electrical simulation *)
+    misses : int;
+        (** requests that ran an electrical simulation (one integrator
+            lane each): the cost the campaign planner minimises *)
     evictions : int;  (** entries dropped by capacity pressure *)
     entries : int;    (** outcomes currently held *)
     capacity : int;   (** maximum entries before LRU eviction *)
@@ -166,42 +191,16 @@ type cache_stats = Cache.stats = {
   capacity : int;
 }
 
-(** {3 Deprecated global wrappers}
+(** Always-on totals of prefix resumes (mirrors of the
+    [dram.ops.prefix_resumes] / [dram.ops.prefix_steps_skipped]
+    counters, readable with telemetry off): [resumes] counts integrator
+    lanes that started from a cached op-boundary state instead of
+    t = 0, [steps_skipped] the grid steps they did not integrate. Both
+    count lanes that completed. *)
+type prefix_stats = { resumes : int; steps_skipped : int }
 
-    These operate on {!Cache.default} and exist for source compatibility
-    with the original global-state API; new code should hold a
-    {!Cache.t} and call its functions directly. *)
-
-(** [run_count ()] is [Cache.requests Cache.default] — the number of
-    simulation requests made through {!run} since start-up (or the last
-    {!reset_run_count}), the cost metric the paper's method optimizes
-    against exhaustive per-SC fault analysis. Requests served from the
-    memo cache are counted too; {!cache_stats} separates actual
-    electrical simulations (misses) from cached replays (hits). *)
-val run_count : unit -> int
-
-val reset_run_count : unit -> unit
-
-(** [set_caching on] is [Cache.set_enabled Cache.default on]. *)
-val set_caching : bool -> unit
-
-val caching_enabled : unit -> bool
-
-(** [set_cache_capacity n] is [Cache.resize Cache.default n]. *)
-val set_cache_capacity : int -> unit
-
-(** [clear_cache ()] is [Cache.clear Cache.default]. *)
-val clear_cache : unit -> unit
-
-val cache_stats : unit -> cache_stats
-
-(** [simulations ()] is [(cache_stats ()).misses] — the number of
-    requests that actually reached the electrical solver (integrator
-    lanes; cached replays excluded) since
-    start-up or the last {!clear_cache}. This is the cost metric the
-    adaptive campaign planner minimises and the bench tripwires
-    compare, named so call sites read as what they measure. *)
-val simulations : unit -> int
+val prefix_stats : unit -> prefix_stats
+val reset_prefix_stats : unit -> unit
 
 (** [run ?tech ?sim ?steps_per_cycle ?defect ?vc_init ?v_neighbour
     ?config ?cache ~stress ops] executes the sequence.
@@ -287,8 +286,8 @@ type lane = {
     [deadline] configured every miss gets a run of its own (a per-point
     budget has no meaning inside a shared run).
 
-    Raises [Invalid_argument] for an empty [lanes] or [ops] list, or
-    for lanes mixing defect kinds/placements. *)
+    Raises [Invalid_argument] for an empty [lanes] or [ops] list, a
+    [Ham n] with [n < 1], or lanes mixing defect kinds/placements. *)
 val run_batch :
   ?tech:Tech.t ->
   ?sim:Dramstress_engine.Options.t ->

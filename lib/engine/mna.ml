@@ -571,6 +571,7 @@ let solve_in_place sys ws ~(opts : Options.t) =
   end
 
 let solution ws = ws.rhs
+let pivot_order ws = Option.bind ws.slu Sp.pivot_order
 
 (* [out] may alias [reactive.prev_cap_current]: each capacitor reads
    only its own slot's previous current before overwriting that same

@@ -148,6 +148,12 @@ val assemble_into_pre :
     non-finite) system. *)
 val solve_in_place : t -> workspace -> opts:Options.t -> unit
 
+(** [pivot_order ws] is the sparse LU's pivot order in force
+    ({!Dramstress_util.Sparse_lu.pivot_order}); [None] before the first
+    sparse solve and on the [dense_lu] path, whose per-factor pivoting
+    carries no order from one solve to the next. *)
+val pivot_order : workspace -> int array option
+
 (** [solution ws] is the workspace RHS buffer, holding the solution
     after {!solve_in_place}. The array is reused by the next
     {!assemble_into_pre}; copy anything that must survive. *)

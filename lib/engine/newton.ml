@@ -9,6 +9,13 @@ exception
 
 exception Timeout of { t : float; budget_s : float }
 
+let singular_prefix = "singular system"
+
+let singular_at_start = function
+  | Numerical_health { t = 0.0; iterations = 1; what } ->
+    String.starts_with ~prefix:singular_prefix what
+  | _ -> false
+
 let () =
   Printexc.register_printer (function
     | Numerical_health { t; iterations; what } ->
@@ -94,7 +101,7 @@ let sick ~t_now ~iter what =
 let sick_singular ~t_now ~iter ~row ~pivot =
   Tel.Counter.incr c_singular;
   sick ~t_now ~iter
-    (Printf.sprintf "singular system (row %d, pivot %.3g)" row pivot)
+    (Printf.sprintf "%s (row %d, pivot %.3g)" singular_prefix row pivot)
 
 (* runtime health monitor, shared by both solve paths. All three checks
    raise typed errors that the retry ladder above understands — a sick

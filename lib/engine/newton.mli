@@ -13,6 +13,15 @@ exception Numerical_health of { t : float; iterations : int; what : string }
     {!Dramstress_dram.Ops} retry ladder, exactly like
     {!No_convergence}. *)
 
+(** [singular_at_start e] holds for a {!Numerical_health} raised by a
+    singular system on the first iteration at [t = 0]: the initial
+    quasi-static solve of a transient run could not factor its very
+    first matrix. That matrix depends only on the netlist and the
+    initial conditions, so a smaller step, more steps or a damped Newton
+    meet it unchanged; the {!Dramstress_dram.Ops} retry ladder treats
+    such a failure as deterministic and does not retry it. *)
+val singular_at_start : exn -> bool
+
 exception Timeout of { t : float; budget_s : float }
 (** Raised by the cooperative deadline check when the wall-clock budget
     ([Sim_config.deadline]) passed down as [deadline_at] is exceeded.

@@ -15,7 +15,7 @@ let c_masked = Tel.Counter.make "engine.ensemble.masked_lane_iters"
 let c_lane_failures = Tel.Counter.make "engine.ensemble.lane_failures"
 
 (* always-on mirrors, the [--metrics] reconciliation source (same
-   contract as [Ops.cache_stats] and [Sparse_lu.stats]) *)
+   contract as [Ops.Cache.stats] and [Sparse_lu.stats]) *)
 let g_lanes = Atomic.make 0
 let g_batches = Atomic.make 0
 let g_masked = Atomic.make 0
@@ -42,12 +42,23 @@ let reset_stats () =
   Atomic.set g_masked 0;
   Atomic.set g_lane_failures 0
 
+type snapshot = {
+  step : int;
+  t : float;
+  x : float array;
+  prev_v : float array;
+  cap_hist : float array;
+  pivots : int array option;
+}
+
 type result = {
   times : float array;
   probe_names : string array;
   probe_values : float array array;
   final_v : float array;
   probe_interps : (string, I.t) Hashtbl.t;
+  snapshots : snapshot option array;
+  start_step : int;
 }
 
 exception
@@ -61,6 +72,8 @@ exception
     worst : float;
   }
 
+exception Resume_refused of { step : int }
+
 let () =
   Printexc.register_printer (function
     | Step_failed { seg_start; seg_end; t; dt; retries; iterations; worst } ->
@@ -70,6 +83,12 @@ let () =
             s; %d halving retries exhausted; %d Newton iterations; worst \
             update %.3g V }"
            seg_start seg_end t dt retries iterations worst)
+    | Resume_refused { step } ->
+      Some
+        (Printf.sprintf
+           "Transient.Resume_refused { step %d: the run factors under another \
+            pivot order than the snapshot }"
+           step)
     | _ -> None)
 
 let probe result name =
@@ -98,6 +117,7 @@ type grid = {
   step_seg : int array;  (* per step: the index of its segment *)
   t_prev : float array;  (* per step: the time it starts from, s *)
   points : float array;  (* [0.0], then step [k] ends at [points.(k + 1)] *)
+  seg_end_pt : int array;  (* per segment: the grid point it ends at *)
 }
 
 (* Two passes of one walk: count the steps, then fill the arrays. Plain
@@ -138,6 +158,7 @@ let grid ~who (opts : Options.t) segments =
   let step_seg = Array.make !n_steps 0 in
   let t_prev = Array.make !n_steps 0.0 in
   let points = Array.make (!n_steps + 1) 0.0 in
+  let seg_end_pt = Array.make n_segs 0 in
   let k = ref 0 in
   t := 0.0;
   for si = 0 to n_segs - 1 do
@@ -150,6 +171,7 @@ let grid ~who (opts : Options.t) segments =
       incr k;
       t := t_next
     done;
+    seg_end_pt.(si) <- !k;
     t := Float.max !t t_end
   done;
   {
@@ -159,14 +181,17 @@ let grid ~who (opts : Options.t) segments =
     step_seg;
     t_prev;
     points;
+    seg_end_pt;
   }
 
 type lane = {
   ics : (string * float) list;
   override : (string * float) option;
+  resume : (snapshot * float array array) option;
 }
 
-let integrate ~who compiled ~opts ~deadline_at ~segments ~lanes ~probes =
+let integrate ~who compiled ~opts ~deadline_at ~segments ~snapshot_at ~lanes
+    ~probes =
   let n_lanes = Array.length lanes in
   if n_lanes = 0 then invalid_arg (who ^ ": no lanes");
   Tel.Counter.incr c_batches;
@@ -174,6 +199,12 @@ let integrate ~who compiled ~opts ~deadline_at ~segments ~lanes ~probes =
   Atomic.incr g_batches;
   ignore (Atomic.fetch_and_add g_lanes n_lanes);
   let grid = grid ~who opts segments in
+  let n_segs = Array.length grid.segments in
+  Array.iter
+    (fun si ->
+      if si < 0 || si >= n_segs then
+        invalid_arg (who ^ ": snapshot segment out of range"))
+    snapshot_at;
   let sys = Mna.make compiled in
   let ws = Mna.make_workspace sys in
   let n_nodes = Mna.n_nodes sys in
@@ -216,6 +247,22 @@ let integrate ~who compiled ~opts ~deadline_at ~segments ~lanes ~probes =
   let n_probes = Array.length probe_ids in
   let times = grid.points in
   let n_pts = Array.length times in
+  let n_steps = n_pts - 1 in
+  Array.iter
+    (fun lane ->
+      match lane.resume with
+      | None -> ()
+      | Some (snap, prefix) ->
+        if
+          snap.step < 0 || snap.step > n_steps
+          || snap.t <> times.(snap.step)
+          || Array.length snap.x <> size
+          || Array.length snap.prev_v <> n_nodes
+          || Array.length snap.cap_hist <> Int.max 1 n_caps
+          || Array.length prefix <> n_probes
+          || Array.exists (fun row -> Array.length row <= snap.step) prefix
+        then invalid_arg (who ^ ": snapshot does not fit this run"))
+    lanes;
   (* per-lane state rows: committed unknowns, working Newton iterate,
      previous accepted node voltages, capacitor history. Row identity is
      stable for the whole run — the Newton loop and [Mna] read and write
@@ -244,6 +291,9 @@ let integrate ~who compiled ~opts ~deadline_at ~segments ~lanes ~probes =
     lanes;
   let dead : exn option array = Array.make n_lanes None in
   let n_alive = ref n_lanes in
+  (* the grid step each lane starts at: 0, or a resumed lane's snapshot
+     step; a lane sits out every step before it, like a dead lane *)
+  let start = Array.make n_lanes 0 in
   (* sample rows are allocated once a lane's initial solve succeeds: a
      lane that fails at t = 0 never needs them *)
   let samples = Array.make n_lanes [||] in
@@ -272,18 +322,19 @@ let integrate ~who compiled ~opts ~deadline_at ~segments ~lanes ~probes =
     Array.make n_lanes
       { Mna.dt = 0.0; prev_v = [||]; prev_cap_current = [||] }
   in
-  (* Masked batched Newton solve at one time point for the lanes chosen
-     by [sel] (dead lanes are always skipped). Each sweep of the loop
-     performs one {!Newton.iterate} per still-running lane, staged
-     through the shared workspace, so per lane the iterates are exactly
-     those of a [Newton.solve]. On exit [lane_done]/[lane_err] hold the
-     per-lane verdicts; a converged lane's iterate is in its [xw] row.
+  (* Masked batched Newton solve at one time point of grid step [k] for
+     every live lane that has started by then, or for lane [only] alone
+     when [only >= 0]. Each sweep of the loop performs one
+     {!Newton.iterate} per still-running lane, staged through the shared
+     workspace, so per lane the iterates are exactly those of a
+     [Newton.solve]. On exit [lane_done]/[lane_err] hold the per-lane
+     verdicts; a converged lane's iterate is in its [xw] row.
      [Newton.Timeout] leaves the run at once. *)
-  let solve_batch ~t_now ~dt' ~sel =
+  let solve_batch ~t_now ~dt' ~k ~only =
     Mna.eval_controls_into sys ws ~t_now;
     let n_active = ref 0 in
     for li = 0 to n_lanes - 1 do
-      let a = dead.(li) = None && sel li in
+      let a = dead.(li) = None && start.(li) <= k && (only < 0 || only = li) in
       active.(li) <- a;
       lane_done.(li) <- false;
       lane_err.(li) <- None;
@@ -353,9 +404,10 @@ let integrate ~who compiled ~opts ~deadline_at ~segments ~lanes ~probes =
   (* initial quasi-static solve: a near-zero BE step pins capacitor
      voltages at their ICs while making resistive nodes consistent. A
      lane whose init solve fails carries the Newton error itself (no
-     step retries exist at t=0). *)
+     step retries exist at t=0). Resumed lanes take part too, so the
+     run's first sparse-LU analysis is the one a run from t = 0 makes. *)
   let dt0_qs = 1e-18 in
-  solve_batch ~t_now:0.0 ~dt':dt0_qs ~sel:(fun _ -> true);
+  solve_batch ~t_now:0.0 ~dt':dt0_qs ~k:0 ~only:(-1);
   for li = 0 to n_lanes - 1 do
     match lane_err.(li) with
     | Some e -> lane_failed li e
@@ -364,6 +416,24 @@ let integrate ~who compiled ~opts ~deadline_at ~segments ~lanes ~probes =
       samples.(li) <- Array.make_matrix n_probes n_pts 0.0;
       record li 0
   done;
+  (* A resumed lane replaces its t = 0 state with the snapshot's and
+     copies the samples up to it, provided the pivot order now in force
+     is the one the snapshot was taken under; otherwise it runs from
+     t = 0 like any other lane. *)
+  let pivots0 = Mna.pivot_order ws in
+  Array.iteri
+    (fun li lane ->
+      match lane.resume with
+      | Some (snap, prefix) when dead.(li) = None && snap.pivots = pivots0 ->
+        start.(li) <- snap.step;
+        Array.blit snap.x 0 xs.(li) 0 size;
+        Array.blit snap.prev_v 0 pvs.(li) 0 n_nodes;
+        Array.blit snap.cap_hist 0 pcs.(li) 0 (Array.length snap.cap_hist);
+        Array.iteri
+          (fun p row -> Array.blit row 0 samples.(li).(p) 0 (snap.step + 1))
+          prefix
+      | Some _ | None -> ())
+    lanes;
   let max_retries = 4 in
   (* one lane's way through a grid step whose full-length attempt
      failed: halve the step and retry, then walk the remaining halves;
@@ -373,11 +443,10 @@ let integrate ~who compiled ~opts ~deadline_at ~segments ~lanes ~probes =
      sick region — but an exhausted budget re-raises the typed health
      error itself so the retry ladder and sweep reports keep the
      diagnosis. *)
-  let catchup li ~seg_start ~seg_end ~t_next ~t_prev0 ~dt0 ~first_err =
-    let sel i = i = li in
+  let catchup li ~k ~seg_start ~seg_end ~t_next ~t_prev0 ~dt0 ~first_err =
     let rec attempt t_prev dt retries =
       let t_now = t_prev +. dt in
-      solve_batch ~t_now ~dt':dt ~sel;
+      solve_batch ~t_now ~dt':dt ~k ~only:li;
       if lane_done.(li) then begin
         accept li dt;
         if t_now >= t_next -. 1e-21 then ()
@@ -405,9 +474,19 @@ let integrate ~who compiled ~opts ~deadline_at ~segments ~lanes ~probes =
   let step_ok = Array.make n_lanes false in
   let step_err : exn option array = Array.make n_lanes None in
   let step k ~seg_start ~seg_end =
+    (* a lane joining at this step needs the snapshot's pivot order; in
+       a run of several lanes its batch mates may have moved the
+       analysis since t = 0 *)
+    for li = 0 to n_lanes - 1 do
+      if k > 0 && start.(li) = k && dead.(li) = None then
+        match lanes.(li).resume with
+        | Some (snap, _) when snap.pivots <> Mna.pivot_order ws ->
+          lane_failed li (Resume_refused { step = k })
+        | Some _ | None -> ()
+    done;
     let t_prev = grid.t_prev.(k) and t_next = times.(k + 1) in
     let dt0 = t_next -. t_prev in
-    solve_batch ~t_now:t_next ~dt':dt0 ~sel:(fun _ -> true);
+    solve_batch ~t_now:t_next ~dt':dt0 ~k ~only:(-1);
     for li = 0 to n_lanes - 1 do
       step_ok.(li) <- lane_done.(li);
       step_err.(li) <- lane_err.(li)
@@ -416,10 +495,10 @@ let integrate ~who compiled ~opts ~deadline_at ~segments ~lanes ~probes =
       if dead.(li) = None && step_ok.(li) then accept li dt0
     done;
     for li = 0 to n_lanes - 1 do
-      if dead.(li) = None && not step_ok.(li) then begin
+      if dead.(li) = None && start.(li) <= k && not step_ok.(li) then begin
         let first_err = Option.get step_err.(li) in
         match
-          catchup li ~seg_start ~seg_end ~t_next ~t_prev0:t_prev ~dt0
+          catchup li ~k ~seg_start ~seg_end ~t_next ~t_prev0:t_prev ~dt0
             ~first_err
         with
         | () -> ()
@@ -428,13 +507,42 @@ let integrate ~who compiled ~opts ~deadline_at ~segments ~lanes ~probes =
       end
     done;
     for li = 0 to n_lanes - 1 do
-      if dead.(li) = None then record li (k + 1)
+      if dead.(li) = None && start.(li) <= k then record li (k + 1)
     done
   in
-  let n_steps = n_pts - 1 in
-  let k = ref 0 in
+  (* boundary states at the named segment ends, per lane in
+     [snapshot_at] order; a lane records only the ends it integrated *)
+  let snaps =
+    Array.init n_lanes (fun _ -> Array.make (Array.length snapshot_at) None)
+  in
+  let snapshot li pt =
+    { step = pt; t = times.(pt); x = Array.copy xs.(li);
+      prev_v = Array.copy pvs.(li); cap_hist = Array.copy pcs.(li);
+      pivots = Mna.pivot_order ws }
+  in
+  let take_snapshots seg =
+    let pt = grid.seg_end_pt.(seg) in
+    Array.iteri
+      (fun j si ->
+        if si = seg then
+          for li = 0 to n_lanes - 1 do
+            if dead.(li) = None && start.(li) < pt then
+              snaps.(li).(j) <- Some (snapshot li pt)
+          done)
+      snapshot_at
+  in
+  (* segments every live lane has already passed are skipped whole *)
+  let k0 = ref n_steps in
+  for li = 0 to n_lanes - 1 do
+    if dead.(li) = None then k0 := Int.min !k0 start.(li)
+  done;
+  let k = ref !k0 in
   let si = ref 0 in
-  while !si < Array.length grid.segments && !n_alive > 0 do
+  if !k0 > 0 then
+    while !si < n_segs && grid.seg_end_pt.(!si) <= !k0 do
+      incr si
+    done;
+  while !si < n_segs && !n_alive > 0 do
     let seg = !si in
     let seg_start = grid.seg_start.(seg) in
     let seg_end, dt = grid.segments.(seg) in
@@ -448,6 +556,7 @@ let integrate ~who compiled ~opts ~deadline_at ~segments ~lanes ~probes =
           step !k ~seg_start ~seg_end;
           incr k
         done);
+    take_snapshots seg;
     incr si
   done;
   let probe_names = Array.of_list probes in
@@ -463,18 +572,22 @@ let integrate ~who compiled ~opts ~deadline_at ~segments ~lanes ~probes =
             probe_values;
             final_v = Array.copy pvs.(li);
             probe_interps = make_interps times probe_names probe_values;
+            snapshots = snaps.(li);
+            start_step = start.(li);
           })
 
-let run_lanes compiled ?(opts = Options.default) ?deadline_at ~segments ~lanes
-    ~probes () =
+let run_lanes compiled ?(opts = Options.default) ?deadline_at
+    ?(snapshot_at = [||]) ~segments ~lanes ~probes () =
   integrate ~who:"Transient.run_lanes" compiled ~opts ~deadline_at ~segments
-    ~lanes ~probes
+    ~snapshot_at ~lanes ~probes
 
 let run compiled ?(opts = Options.default) ?deadline_at ~segments ~ics ~probes
     () =
   match
     (integrate ~who:"Transient.run" compiled ~opts ~deadline_at ~segments
-       ~lanes:[| { ics; override = None } |] ~probes).(0)
+       ~snapshot_at:[||]
+       ~lanes:[| { ics; override = None; resume = None } |]
+       ~probes).(0)
   with
   | Ok result -> result
   | Error e -> raise e

@@ -27,7 +27,38 @@
     fails is masked out and reported in its own result slot; the
     surviving lanes are unaffected. Lane state is four plain float rows
     per lane next to one shared workspace, so a 16-lane run costs one
-    workspace plus about [16 x 4 x size] floats, not 16 workspaces. *)
+    workspace plus about [16 x 4 x size] floats, not 16 workspaces.
+
+    {2 Snapshots and resumed lanes}
+
+    A run records a {!snapshot} of every live lane at the segment ends
+    its caller names: the lane's committed unknowns, node voltages and
+    capacitor history there, plus the sparse-LU pivot order in force.
+    Those three rows are all the state a lane carries from one grid step
+    to the next, so a later run whose grid starts with the same steps
+    (the grid is walked from t = 0, so equal leading segments give equal
+    leading points) and whose control waveforms agree over them can
+    start a lane at the snapshot's step instead of t = 0. The lane still
+    takes part in the t = 0 quasi-static solve, which makes the run's
+    first pivot-order analysis exactly as a run from t = 0 would; it then
+    loads the snapshot's rows and its recorded samples and sits out the
+    steps before its start, the way a dead lane does. From there on its
+    iterates are the ones the source run computed, bit for bit, as long
+    as the LU factors under the same pivot order: a lane whose run holds
+    another order at t = 0 runs from t = 0 instead, and one whose batch
+    mates moved the order before its start fails with
+    {!Resume_refused}. *)
+
+(** A lane's integrator state at one grid point. Treat as read-only. *)
+type snapshot = {
+  step : int;  (** the grid point: steps integrated before it *)
+  t : float;  (** its time, s *)
+  x : float array;  (** committed unknowns *)
+  prev_v : float array;  (** node voltages, indexed by node id *)
+  cap_hist : float array;  (** capacitor current history *)
+  pivots : int array option;
+      (** the sparse-LU pivot order in force ({!Mna.pivot_order}) *)
+}
 
 type result = {
   times : float array;
@@ -41,6 +72,13 @@ type result = {
   (** name -> interpolant table built at result construction; {!probe}
       and {!value_at} are O(1) lookups instead of rebuilding the
       interpolant per query. Treat as read-only. *)
+  snapshots : snapshot option array;
+  (** one slot per [snapshot_at] entry of {!run_lanes}, in its order:
+      the lane's state at that segment end, [None] for an end at or
+      before the step a resumed lane started at *)
+  start_step : int;
+  (** the grid step the lane's integration began at: 0, or the step of
+      the snapshot it resumed from *)
 }
 
 exception
@@ -58,6 +96,12 @@ exception
     context (segment bounds, final step size, retry budget) for
     sweep-level callers to report which operating point diverged. *)
 
+exception Resume_refused of { step : int }
+(** A resumed lane's error slot when, at its start [step], the run
+    factors under another pivot order than its snapshot was taken under
+    (only batch mates can move it there). Run the lane again without
+    the snapshot. *)
+
 (** [probe result name] is the sampled waveform of a probe as an
     interpolating curve. Raises [Not_found] for unknown probes. *)
 val probe : result -> string -> Dramstress_util.Interp.t
@@ -72,18 +116,26 @@ val value_at : result -> string -> float -> float
     topology). When any lane overrides, that resistor leaves the static
     template and every lane stamps its own conductance after the
     template copy, the lanes without an override at the netlist value;
-    when none does, the resistor stays in the template. *)
+    when none does, the resistor stays in the template. The stamping
+    mode is part of the arithmetic, so a snapshot resumes bit for bit
+    only in a run of the mode it was taken in.
+
+    [resume], when given as [(snapshot, samples)], starts the lane at
+    the snapshot's step (see above); [samples] holds the lane's probe
+    samples of grid points [0 .. snapshot.step], one row per probe in
+    [probes] order — the source run's [probe_values]. *)
 type lane = {
   ics : (string * float) list;
   override : (string * float) option;
+  resume : (snapshot * float array array) option;
 }
 
-(** [run_lanes compiled ?opts ?deadline_at ~segments ~lanes ~probes ()]
-    integrates every lane over the shared grid and returns one result
-    slot per lane, in lane order: [Ok result], or [Error e] with the
-    lane's failure ({!Step_failed}, {!Newton.No_convergence} from the
-    initial quasi-static solve, or {!Newton.Numerical_health}) without
-    disturbing the other lanes.
+(** [run_lanes compiled ?opts ?deadline_at ?snapshot_at ~segments ~lanes
+    ~probes ()] integrates every lane over the shared grid and returns
+    one result slot per lane, in lane order: [Ok result], or [Error e]
+    with the lane's failure ({!Step_failed}, {!Newton.No_convergence}
+    from the initial quasi-static solve, {!Newton.Numerical_health} or
+    {!Resume_refused}) without disturbing the other lanes.
 
     - [segments]: ordered [(t_end, dt)] list; [t_end] strictly increases
       and [dt > 0].
@@ -93,6 +145,8 @@ type lane = {
       pins capacitor voltages at their ICs while solving resistive
       nodes).
     - [probes]: node names to record at every accepted point.
+    - [snapshot_at] (default none): indices into [segments] at whose
+      ends every live lane records a {!snapshot}.
     - [deadline_at]: absolute wall-clock cutoff [(at, budget_s)] polled
       at every lane iteration; past it the whole run raises
       {!Newton.Timeout} immediately (no halving retries).
@@ -105,12 +159,16 @@ type lane = {
 
     Raises [Invalid_argument] for an empty lane array, invalid segments,
     unknown IC/probe nodes, a non-positive override resistance, an
-    unknown override resistor, or lanes overriding different
-    resistors. *)
+    unknown override resistor, lanes overriding different resistors, a
+    [snapshot_at] index outside [segments], or a resume whose snapshot
+    does not fit the run (its step and time are not a point of this
+    grid, its rows do not fit the circuit, or its samples do not reach
+    its step). *)
 val run_lanes :
   Dramstress_circuit.Netlist.compiled ->
   ?opts:Options.t ->
   ?deadline_at:float * float ->
+  ?snapshot_at:int array ->
   segments:(float * float) list ->
   lanes:lane array ->
   probes:string list ->
@@ -118,8 +176,8 @@ val run_lanes :
   (result, exn) Stdlib.result array
 
 (** [run compiled ?opts ?deadline_at ~segments ~ics ~probes ()] is
-    {!run_lanes} on the single lane [{ ics; override = None }], raising
-    that lane's error. *)
+    {!run_lanes} on the single lane [{ ics; override = None; resume =
+    None }], raising that lane's error. *)
 val run :
   Dramstress_circuit.Netlist.compiled ->
   ?opts:Options.t ->
@@ -132,7 +190,7 @@ val run :
 
 (** Always-on run totals (independent of telemetry being enabled), the
     reconciliation source for [--metrics] — same contract as
-    [Ops.cache_stats] and [Sparse_lu.stats]. *)
+    [Ops.Cache.stats] and [Sparse_lu.stats]. *)
 type stats = {
   lanes : int;  (** lanes integrated across all runs *)
   batches : int;  (** integrator runs, i.e. {!run_lanes} calls *)

@@ -62,6 +62,16 @@ let find c key =
 (* membership probe that does not touch recency or hit statistics *)
 let mem c key = Hashtbl.mem c.tbl key
 
+(* most to least recently used, without touching recency or stats *)
+let iter f c =
+  let rec walk = function
+    | None -> ()
+    | Some node ->
+      f node.key node.value;
+      walk node.next
+  in
+  walk c.head
+
 let evict_lru c =
   match c.tail with
   | None -> ()

@@ -22,6 +22,11 @@ val find : ('k, 'v) t -> 'k -> 'v option
 (** [mem c k] probes membership without touching recency or stats. *)
 val mem : ('k, 'v) t -> 'k -> bool
 
+(** [iter f c] applies [f] to every binding, from most to least
+    recently used, without touching recency or stats. [f] must not
+    modify [c]. *)
+val iter : ('k -> 'v -> unit) -> ('k, 'v) t -> unit
+
 (** [add c k v] inserts or overwrites the binding and marks it most
     recently used, evicting the LRU entry when at capacity. *)
 val add : ('k, 'v) t -> 'k -> 'v -> unit

@@ -8,7 +8,7 @@ let c_reanalyses = Tel.Counter.make "util.sparse_lu.reanalyses"
 
 (* always-on mirrors of the counters above, so [--metrics] can reconcile
    the telemetry block against an independent tally (the same contract
-   [Ops.cache_stats] provides for the memo cache) *)
+   [Ops.Cache.stats] provides for the memo cache) *)
 let g_analyses = Atomic.make 0
 let g_reuse = Atomic.make 0
 let g_refactor = Atomic.make 0
@@ -236,6 +236,10 @@ let factor t a =
       refactor t an a ~strict:true;
       record_refactor ~reused:false
   end
+
+(* a reanalysis installs a fresh [perm] array and never mutates the old
+   one, so handing it out without a copy is safe *)
+let pivot_order t = Option.map (fun an -> an.perm) t.analysis
 
 let solve t ~scratch b =
   let an =

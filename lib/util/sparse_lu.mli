@@ -29,7 +29,7 @@
     Activity feeds the [util.sparse_lu.symbolic_analyses] /
     [symbolic_reuse] / [numeric_refactor] / [reanalyses] telemetry
     counters and the always-on process-wide {!stats} block (the
-    [--metrics] reconciliation mirror of [Ops.cache_stats]).
+    [--metrics] reconciliation mirror of [Ops.Cache.stats]).
 
     A handle must not be shared between domains; each workspace owns
     its own. *)
@@ -53,8 +53,15 @@ val factor : t -> Linalg.matrix -> unit
     {!factor}. [scratch] must hold at least [n] floats. *)
 val solve : t -> scratch:float array -> float array -> unit
 
+(** [pivot_order t] is the row order of the analysis in force ([None]
+    before the first {!factor}): row [i] of the factors holds row
+    [perm.(i)] of the matrix. Two factorizations of one matrix under the
+    same order produce the same bits. The array is shared with [t];
+    treat it as read-only. *)
+val pivot_order : t -> int array option
+
 (** Process-wide activity totals, readable regardless of whether
-    telemetry is enabled (like [Ops.cache_stats]): [analyses] counts
+    telemetry is enabled (like [Ops.Cache.stats]): [analyses] counts
     first-time symbolic analyses, [reanalyses] the stale-pivot reruns,
     [numeric_refactor] every successful numeric factorization and
     [symbolic_reuse] the subset that reused an existing analysis. *)

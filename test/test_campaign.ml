@@ -365,7 +365,7 @@ let test_runner_cold_then_warm () =
   Alcotest.(check int) "all results" 2 (List.length r1.Runner.results);
   (* warm, across a fresh handle AND a cleared LRU: the reuse must come
      from the persistent store, not the in-memory cache *)
-  O.clear_cache ();
+  O.Cache.clear O.Cache.default;
   let s2 = St.open_ ~engine:"e" ~name:"run-t" dir in
   let r2 = Runner.run ~jobs:1 ~store:s2 m in
   St.close s2;
@@ -386,7 +386,7 @@ let test_runner_failure_retry () =
   (* chaos fails one of the two worker tasks: the campaign must record
      the failure and keep the surviving point *)
   Chaos.configure ~seed:0 "fail_worker_task@2";
-  O.clear_cache ();
+  O.Cache.clear O.Cache.default;
   let s = St.open_ ~engine:"e" ~name:"run-t" dir in
   let r = Runner.run ~jobs:1 ~store:s m in
   St.close s;
@@ -403,7 +403,7 @@ let test_runner_failure_retry () =
     (count (function `Failed _ -> true | _ -> false));
   (* disarmed rerun: the success is reused, the failure is RETRIED *)
   Chaos.disarm ();
-  O.clear_cache ();
+  O.Cache.clear O.Cache.default;
   let s = St.open_ ~engine:"e" ~name:"run-t" dir in
   let r = Runner.run ~jobs:1 ~store:s m in
   Alcotest.(check int) "success reused" 1 r.Runner.reused;
@@ -449,14 +449,14 @@ let run_campaign dir src =
 let test_runner_adaptive_planner_parity () =
   (* the tentpole end to end: the adaptive planner must report exactly
      the borders the grid oracle reports, from strictly fewer
-     simulations. [O.simulations] counts solver cache misses, the real
-     cost metric — reused store records and LRU hits are free. *)
+     simulations. The cache's [misses] count solver runs, the real cost
+     metric — reused store records and LRU hits are free. *)
   let run strategy =
     with_store_dir @@ fun dir ->
-    O.clear_cache ();
-    let before = O.simulations () in
+    O.Cache.clear O.Cache.default;
+    let before = (O.Cache.stats O.Cache.default).O.misses in
     let _, r = run_campaign dir (planner_manifest strategy) in
-    (r, O.simulations () - before)
+    (r, (O.Cache.stats O.Cache.default).O.misses - before)
   in
   let grid, grid_sims = run "grid" in
   let adaptive, adaptive_sims = run "adaptive" in
@@ -595,7 +595,7 @@ let test_golden_store_reuse () =
         (Filename.concat dir f))
     [ "records.jsonl"; "index.json" ];
   let m = Manifest.load "golden/pre_extension.sexp" in
-  O.clear_cache ();
+  O.Cache.clear O.Cache.default;
   let s = St.open_ ~engine:"post-extension" ~name:"golden-pre-extension" dir in
   let r = Runner.run ~jobs:1 ~store:s m in
   St.close s;
@@ -668,10 +668,10 @@ let test_adaptive_parity_wait_axis () =
      exactly as it does on the paper's four *)
   let run strategy =
     with_store_dir @@ fun dir ->
-    O.clear_cache ();
-    let before = O.simulations () in
+    O.Cache.clear O.Cache.default;
+    let before = (O.Cache.stats O.Cache.default).O.misses in
     let _, r = run_campaign dir (planner_wait_manifest strategy) in
-    (r, O.simulations () - before)
+    (r, (O.Cache.stats O.Cache.default).O.misses - before)
   in
   let grid, grid_sims = run "grid" in
   let adaptive, adaptive_sims = run "adaptive" in
@@ -1037,7 +1037,7 @@ let with_engine_held f =
 let test_service_admission_busy () =
   with_service ~max_active:1 ~queue:0 @@ fun ~socket ->
   with_engine_held @@ fun ~release ->
-  O.clear_cache ();
+  O.Cache.clear O.Cache.default;
   let busy_before = counter_value "campaign.service.busy_rejections" in
   let slow_result = ref None in
   let slow =
@@ -1080,7 +1080,7 @@ let test_service_admission_busy () =
 let test_service_graceful_drain () =
   with_service @@ fun ~socket ->
   with_engine_held @@ fun ~release ->
-  O.clear_cache ();
+  O.Cache.clear O.Cache.default;
   let draining_before = counter_value "campaign.service.draining_rejections" in
   let slow_result = ref None in
   let slow =
@@ -1167,7 +1167,7 @@ let test_service_concurrent_dedup () =
   with_service @@ fun ~socket ->
   let c_sim = Tel.Counter.make "campaign.points_simulated" in
   let sim_before = Tel.Counter.value c_sim in
-  O.clear_cache ();
+  O.Cache.clear O.Cache.default;
   let results = Array.make 2 None in
   let client i = results.(i) <- Some (Svc.Client.submit ~socket run_manifest) in
   let ths = List.init 2 (fun i -> Thread.create client i) in

@@ -5,6 +5,7 @@ module S = Dramstress_dram.Stress
 module O = Dramstress_dram.Ops
 module D = Dramstress_defect.Defect
 module C = Dramstress_core
+module Tel = Dramstress_util.Telemetry
 
 let nominal = S.nominal
 let open_kind = D.Open_cell D.At_bitline_contact
@@ -75,6 +76,37 @@ let test_border_open () =
   | other ->
     Alcotest.failf "expected Br, got %s"
       (Format.asprintf "%a" C.Border.pp_result other)
+
+(* an open far above the border cannot factor its first matrix at t = 0;
+   every retry stage meets that same matrix, so the point fails at once,
+   and the border search skips it exactly as before *)
+let test_singular_start_not_retried () =
+  let counter name = Tel.Counter.value (Tel.Counter.make name) in
+  Tel.set_enabled true;
+  Fun.protect ~finally:(fun () -> Tel.set_enabled false) @@ fun () ->
+  let retries0 = counter "dram.ops.retry_attempts" in
+  let failed0 = counter "dram.ops.failed_runs" in
+  (match
+     O.run ~cache:(O.Cache.create ()) ~stress:nominal
+       ~defect:(D.v open_kind D.True_bl 1e11) ~vc_init:0.0 [ O.W1; O.W0; O.R ]
+   with
+  | _ -> Alcotest.fail "a 1e11 Ohm open simulated"
+  | exception O.Exhausted_retries { error; attempts; _ } ->
+    Alcotest.(check int) "no retry stage ran" 0 attempts;
+    Alcotest.(check bool) "singular first matrix" true
+      (Dramstress_engine.Newton.singular_at_start error));
+  Alcotest.(check int) "retry_attempts" 0
+    (counter "dram.ops.retry_attempts" - retries0);
+  Alcotest.(check int) "failed_runs" 1
+    (counter "dram.ops.failed_runs" - failed0);
+  let skipped0 = counter "core.border.skipped_samples" in
+  ignore
+    (C.Border.search ~stress:nominal ~kind:open_kind ~placement:D.True_bl
+       (C.Detection.standard ~victim:0 ~primes:2));
+  Alcotest.(check int) "skipped_samples: the top decades of the window" 4
+    (counter "core.border.skipped_samples" - skipped0);
+  Alcotest.(check int) "no retries in the search" 0
+    (counter "dram.ops.retry_attempts" - retries0)
 
 let test_border_true_comp_symmetry () =
   let br placement victim =
@@ -632,7 +664,7 @@ let test_candidate_detections_placement () =
 
 let test_exhaustive_small_grid () =
   let detection = C.Detection.standard ~victim:0 ~primes:2 in
-  let before = Dramstress_dram.Ops.run_count () in
+  let before = O.Cache.requests O.Cache.default in
   let result =
     C.Exhaustive.optimize ~tcyc_values:[ 55e-9; 60e-9 ] ~temp_values:[ 27.0 ]
       ~vdd_values:[ 2.4 ] ~nominal ~kind:open_kind ~placement:D.True_bl
@@ -643,7 +675,7 @@ let test_exhaustive_small_grid () =
     (List.length result.C.Exhaustive.ranking);
   Alcotest.(check bool) "simulations counted" true
     (result.C.Exhaustive.simulations > 0
-    && Dramstress_dram.Ops.run_count () - before
+    && O.Cache.requests O.Cache.default - before
        >= result.C.Exhaustive.simulations);
   (* the shorter cycle must win for an open *)
   Alcotest.(check (float 1e-12)) "best tcyc" 55e-9
@@ -653,10 +685,10 @@ let test_exhaustive_small_grid () =
   | _ -> Alcotest.fail "expected a boundary"
 
 let test_run_counter () =
-  Dramstress_dram.Ops.reset_run_count ();
+  O.Cache.reset_requests O.Cache.default;
   ignore (Dramstress_dram.Ops.run ~stress:nominal [ Dramstress_dram.Ops.W0 ]);
   ignore (Dramstress_dram.Ops.run ~stress:nominal [ Dramstress_dram.Ops.R ]);
-  Alcotest.(check int) "two runs" 2 (Dramstress_dram.Ops.run_count ())
+  Alcotest.(check int) "two runs" 2 (O.Cache.requests O.Cache.default)
 
 let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in
@@ -727,8 +759,9 @@ let test_batched_sweeps_match_scalar () =
   let module Sc = Dramstress_dram.Sim_config in
   let scalar = Sc.v ~lanes:1 () in
   let batched = Sc.v ~lanes:8 () in
-  O.set_caching false;
-  Fun.protect ~finally:(fun () -> O.set_caching true) @@ fun () ->
+  O.Cache.set_enabled O.Cache.default false;
+  Fun.protect ~finally:(fun () -> O.Cache.set_enabled O.Cache.default true)
+  @@ fun () ->
   let cond = C.Detection.standard ~victim:0 ~primes:2 in
   let br config =
     C.Border.search ~config ~r_max:1e8 ~stress:nominal ~kind:open_kind
@@ -947,8 +980,9 @@ let test_border_adaptive_simulates_fewer () =
   let c_probes = Tel.Counter.make "core.border.probes" in
   Tel.set_enabled true;
   Fun.protect ~finally:(fun () -> Tel.set_enabled false) @@ fun () ->
-  O.set_caching false;
-  Fun.protect ~finally:(fun () -> O.set_caching true) @@ fun () ->
+  O.Cache.set_enabled O.Cache.default false;
+  Fun.protect ~finally:(fun () -> O.Cache.set_enabled O.Cache.default true)
+  @@ fun () ->
   let cond = C.Detection.standard ~victim:0 ~primes:2 in
   let probes strategy =
     let before = Tel.Counter.value c_probes in
@@ -1090,6 +1124,8 @@ let () =
         [
           tc "open BR in paper regime" test_border_open;
           tc "true/comp symmetry" test_border_true_comp_symmetry;
+          tc "singular t = 0 open is not retried"
+            test_singular_start_not_retried;
           slow "neighbour bridge band" test_border_band_for_neighbour_bridge;
           tc "result helpers" test_border_helpers;
           tc "of_samples single edges" test_of_samples_single_edges;

@@ -333,29 +333,30 @@ let test_incremental_matches_naive () =
     [ E.Options.Backward_euler; E.Options.Trapezoidal ]
 
 let test_memo_cache_replays () =
-  (* identical requests are served from the cache: run_count still counts
+  (* identical requests are served from the cache: the request counter counts
      them, but only the first one simulates *)
-  O.set_cache_capacity 64;
+  O.Cache.resize O.Cache.default 64;
   (* fresh cache, stats zeroed *)
-  let before = O.run_count () in
+  let before = O.Cache.requests O.Cache.default in
   let oc1 = O.run ~stress:nominal ~vc_init:0.0 [ O.W1; O.R ] in
   let oc2 = O.run ~stress:nominal ~vc_init:0.0 [ O.W1; O.R ] in
-  Alcotest.(check int) "both requests counted" (before + 2) (O.run_count ());
+  Alcotest.(check int) "both requests counted" (before + 2)
+    (O.Cache.requests O.Cache.default);
   Alcotest.(check bool) "replayed outcome is shared" true (oc1 == oc2);
-  let s = O.cache_stats () in
+  let s = O.Cache.stats O.Cache.default in
   Alcotest.(check int) "one simulation" 1 s.O.misses;
   Alcotest.(check int) "one replay" 1 s.O.hits;
   (* a different request misses *)
   let oc3 = O.run ~stress:nominal ~vc_init:0.1 [ O.W1; O.R ] in
   Alcotest.(check bool) "different key simulates" true (oc3 != oc1);
-  Alcotest.(check int) "second miss" 2 (O.cache_stats ()).O.misses;
+  Alcotest.(check int) "second miss" 2 (O.Cache.stats O.Cache.default).O.misses;
   (* disabling caching bypasses the table entirely *)
-  O.set_caching false;
+  O.Cache.set_enabled O.Cache.default false;
   let oc4 = O.run ~stress:nominal ~vc_init:0.0 [ O.W1; O.R ] in
   Alcotest.(check bool) "bypass returns a fresh outcome" true (oc4 != oc1);
-  Alcotest.(check int) "no new hit" 1 (O.cache_stats ()).O.hits;
-  O.set_caching true;
-  O.set_cache_capacity 512
+  Alcotest.(check int) "no new hit" 1 (O.Cache.stats O.Cache.default).O.hits;
+  O.Cache.set_enabled O.Cache.default true;
+  O.Cache.resize O.Cache.default 512
 
 (* ------------------------------------------------------------------ *)
 (* Retry / degradation ladder                                          *)
@@ -901,6 +902,128 @@ let test_batch_matches_scalar_extended_stress () =
     ~placement:D.True_bl ~rs:[ 2e5; 5e7 ] ops
 
 (* ------------------------------------------------------------------ *)
+(* Prefix resume: bit parity with a run from t = 0                     *)
+(* ------------------------------------------------------------------ *)
+
+let same_bits a b = Int64.bits_of_float a = Int64.bits_of_float b
+
+(* [warm] and [cold] agree bit for bit: sampled times, every probe,
+   final node voltages and the interpreted per-op results *)
+let bitwise_equal (warm : O.outcome) (cold : O.outcome) =
+  let rows a b =
+    Array.length a = Array.length b && Array.for_all2 same_bits a b
+  in
+  let opt_bits a b =
+    match (a, b) with
+    | Some a, Some b -> same_bits a b
+    | None, None -> true
+    | Some _, None | None, Some _ -> false
+  in
+  let tw = warm.O.trace and tc = cold.O.trace in
+  rows tw.E.Transient.times tc.E.Transient.times
+  && Array.length tw.E.Transient.probe_values
+     = Array.length tc.E.Transient.probe_values
+  && Array.for_all2 rows tw.E.Transient.probe_values
+       tc.E.Transient.probe_values
+  && rows tw.E.Transient.final_v tc.E.Transient.final_v
+  && List.length warm.O.results = List.length cold.O.results
+  && List.for_all2
+       (fun (a : O.op_result) (b : O.op_result) ->
+         a.O.op = b.O.op && same_bits a.O.t_start b.O.t_start
+         && same_bits a.O.t_end b.O.t_end
+         && same_bits a.O.vc_end b.O.vc_end
+         && a.O.sensed = b.O.sensed
+         && opt_bits a.O.separation b.O.separation)
+       warm.O.results cold.O.results
+
+let prefix_config = Sc.v ~steps_per_cycle:40 ()
+
+(* 13 lanes of the w1 w0 r search, then the same 13 lanes of the
+   w1 w1 w0 r search: each lane of the second run starts after the
+   shared w1 and reproduces a cache-off run bit for bit *)
+let test_batch_lanes_all_resume () =
+  let lanes =
+    List.init 13 (fun i ->
+        {
+          O.defect =
+            Some (open_defect (1e4 *. Float.pow 10.0 (float_of_int i /. 4.0)));
+          vc_init = 0.0;
+        })
+  in
+  let batch cache ops =
+    O.run_batch ~config:prefix_config ~cache ~stress:nominal ~lanes ops
+  in
+  let cache = O.Cache.create () in
+  ignore (batch cache [ O.W1; O.W0; O.R ]);
+  let p0 = O.prefix_stats () and fb0 = O.lane_fallbacks () in
+  let warm = batch cache [ O.W1; O.W1; O.W0; O.R ] in
+  let p1 = O.prefix_stats () in
+  let cold =
+    batch (O.Cache.create ~enabled:false ()) [ O.W1; O.W1; O.W0; O.R ]
+  in
+  Alcotest.(check int) "every lane resumed" 13 (p1.O.resumes - p0.O.resumes);
+  Alcotest.(check bool) "one w1 cycle skipped per lane" true
+    (p1.O.steps_skipped - p0.O.steps_skipped = 13 * 40);
+  Alcotest.(check int) "no fallback" fb0 (O.lane_fallbacks ());
+  List.iteri
+    (fun i (w, c) ->
+      match (w, c) with
+      | Ok w, Ok c ->
+        Alcotest.(check bool) (Printf.sprintf "lane %d bitwise" i) true
+          (bitwise_equal w c)
+      | _ -> Alcotest.failf "lane %d failed" i)
+    (List.combine warm cold)
+
+(* two sequences sharing a prefix: the second, run on a cache warmed by
+   the first, equals a cache-off run bit for bit (or fails the same
+   way: an open in the top decades cannot start) *)
+let prop_prefix_resume_bitwise =
+  let kinds =
+    [| D.Open_cell D.At_bitline_contact; D.Short_to_gnd;
+       D.Bridge_to_paired_bl |]
+  in
+  let stresses = [| nominal; S.with_temp_c (S.with_vdd nominal 2.1) 87.0 |] in
+  let op = QCheck.Gen.oneofl [ O.W0; O.W1; O.R ] in
+  let gen =
+    QCheck.Gen.(
+      tup4
+        (tup3 (int_bound 2) (int_bound 1) (float_range 3.0 11.0))
+        (list_size (int_range 1 3) op)
+        (list_size (int_range 0 2) op)
+        (list_size (int_range 1 2) op))
+  in
+  let print ((k, st, lg), prefix, a, b) =
+    Printf.sprintf "kind %d stress %d R 1e%g: [%s] then [%s]" k st lg
+      (O.seq_to_string (prefix @ a))
+      (O.seq_to_string (prefix @ b))
+  in
+  QCheck.Test.make ~count:12 ~name:"prefix resume is bit-identical"
+    (QCheck.make ~print gen)
+    (fun ((k, st, lg), prefix, a, b) ->
+      let defect = D.v kinds.(k) D.True_bl (Float.pow 10.0 lg) in
+      let run cache ops =
+        match
+          O.run ~config:prefix_config ~cache ~stress:stresses.(st) ~defect
+            ~vc_init:0.0 ops
+        with
+        | oc -> Some oc
+        | exception O.Exhausted_retries _ -> None
+      in
+      let cache = O.Cache.create () in
+      ignore (run cache (prefix @ a));
+      let second = prefix @ b in
+      let resumes = (O.prefix_stats ()).O.resumes in
+      let warm = run cache second in
+      (* an identical second sequence is a cache hit, not a resume *)
+      let resumed =
+        (O.prefix_stats ()).O.resumes > resumes || second = prefix @ a
+      in
+      match (warm, run (O.Cache.create ~enabled:false ()) second) with
+      | Some w, Some c -> resumed && bitwise_equal w c
+      | None, None -> true
+      | Some _, None | None, Some _ -> false)
+
+(* ------------------------------------------------------------------ *)
 (* Property tests                                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -1099,6 +1222,11 @@ let () =
             test_batch_matches_scalar_retention_stream;
           tc "exhausted lane isolated" test_batch_exhausted_lane_isolated;
           tc "lanes honour naive assembly" test_batch_honours_naive_assembly;
+        ] );
+      ( "prefix resume",
+        [
+          tc "13 batched lanes all resume" test_batch_lanes_all_resume;
+          QCheck_alcotest.to_alcotest prop_prefix_resume_bitwise;
         ] );
       ( "extended stress axes",
         [

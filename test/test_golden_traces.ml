@@ -8,6 +8,11 @@
    evaluation order included — shows up here as the first differing
    sample.
 
+   The "prefix resume" group runs every case again on a cache that has
+   already simulated each proper prefix of the sequence, so the final
+   run resumes its lanes from the cached op-boundary states; it must
+   reproduce the same checked-in trace.
+
    Regenerate (only when a waveform change is intended, and say so):
      dune exec test/test_golden_traces.exe -- --regen test/golden/traces *)
 
@@ -39,39 +44,59 @@ let defects =
     ("b1", D.v D.Bridge_to_paired_bl D.True_bl 1e6);
     ("b2", D.v D.Bridge_to_neighbour D.True_bl 1e6) ]
 
-type case = { name : string; traces : unit -> T.result list }
+(* [traces ~warm ()]: with [warm], on a cache that first ran every
+   proper prefix of the sequence *)
+type case = { name : string; traces : warm:bool -> unit -> T.result list }
 
 let config ?(sim = E.Options.default) () = Sc.v ~sim ~steps_per_cycle ()
 
-let scalar ?sim ~stress ~defect seq () =
-  let cache = O.Cache.create ~enabled:false () in
-  let oc =
-    O.run ~config:(config ?sim ()) ~cache ~stress ~defect ~vc_init:0.0
-      (O.parse_seq seq)
-  in
-  [ oc.O.trace ]
+(* runs [full] on a fresh cache, after every proper prefix of it when
+   [warm], checking that the final run resumed [lanes] lanes *)
+let with_prefixes ~warm ~lanes full seq =
+  let cache = O.Cache.create ~enabled:warm () in
+  let ops = O.parse_seq seq in
+  if warm then
+    List.iteri
+      (fun k _ ->
+        if k > 0 then ignore (full cache (List.filteri (fun i _ -> i < k) ops)))
+      ops;
+  let resumes = (O.prefix_stats ()).O.resumes in
+  let traces = full cache ops in
+  let resumed = (O.prefix_stats ()).O.resumes - resumes in
+  if resumed <> (if warm then lanes else 0) then
+    failwith (Printf.sprintf "%d of %d lanes resumed" resumed lanes);
+  traces
+
+let scalar ?sim ~stress ~defect seq ~warm () =
+  with_prefixes ~warm ~lanes:1
+    (fun cache ops ->
+      let oc =
+        O.run ~config:(config ?sim ()) ~cache ~stress ~defect ~vc_init:0.0 ops
+      in
+      [ oc.O.trace ])
+    seq
 
 (* two lanes an octave and a half apart in resistance, so the lanes take
    different Newton paths through one shared assembly *)
-let batch ~stress ~defect seq () =
-  let cache = O.Cache.create ~enabled:false () in
+let batch ~stress ~defect seq ~warm () =
   let lanes =
     [ { O.defect = Some defect; vc_init = 0.0 };
       { O.defect = Some (D.with_r defect (3.0 *. defect.D.r)); vc_init = 0.0 } ]
   in
-  let fallbacks = O.lane_fallbacks () in
-  let results =
-    O.run_batch ~config:(config ()) ~cache ~stress ~lanes (O.parse_seq seq)
-  in
-  (* a lane that fell back to the scalar path would make this case a
-     second scalar trace instead of an ensemble one *)
-  if O.lane_fallbacks () <> fallbacks then
-    failwith "golden batch: a lane fell back to the scalar path";
-  List.map
-    (function
-      | Ok oc -> oc.O.trace
-      | Error e -> failwith ("golden batch: " ^ Printexc.to_string e))
-    results
+  with_prefixes ~warm ~lanes:2
+    (fun cache ops ->
+      let fallbacks = O.lane_fallbacks () in
+      let results = O.run_batch ~config:(config ()) ~cache ~stress ~lanes ops in
+      (* a lane that fell back to the scalar path would make this case a
+         second scalar trace instead of an ensemble one *)
+      if O.lane_fallbacks () <> fallbacks then
+        failwith "golden batch: a lane fell back to the scalar path";
+      List.map
+        (function
+          | Ok oc -> oc.O.trace
+          | Error e -> failwith ("golden batch: " ^ Printexc.to_string e))
+        results)
+    seq
 
 let cases =
   List.concat_map
@@ -122,7 +147,7 @@ let regen dir =
             (fun l ->
               output_string oc l;
               output_char oc '\n')
-            (lines_of (case.traces ()))))
+            (lines_of (case.traces ~warm:false ()))))
     cases
 
 (* split a line into its label words and its hex-float values *)
@@ -135,14 +160,14 @@ let parse line =
   let values = List.filter is_value words in
   (String.concat " " label, Array.of_list (List.map float_of_string values))
 
-let check case () =
+let check ~warm case () =
   let expected =
     In_channel.with_open_text (path golden_dir case) In_channel.input_all
     |> String.split_on_char '\n'
     |> List.filter (fun l -> l <> "")
     |> List.map parse
   in
-  let actual = List.map parse (lines_of (case.traces ())) in
+  let actual = List.map parse (lines_of (case.traces ~warm ())) in
   Alcotest.(check (list string))
     "same vectors" (List.map fst expected) (List.map fst actual);
   List.iter2
@@ -160,8 +185,11 @@ let () =
   match Sys.argv with
   | [| _; "--regen"; dir |] -> regen dir
   | _ ->
+    let group name ~warm =
+      ( name,
+        List.map
+          (fun case -> Alcotest.test_case case.name `Quick (check ~warm case))
+          cases )
+    in
     Alcotest.run "golden_traces"
-      [ ( "bitwise",
-          List.map
-            (fun case -> Alcotest.test_case case.name `Quick (check case))
-            cases ) ]
+      [ group "bitwise" ~warm:false; group "prefix resume" ~warm:true ]

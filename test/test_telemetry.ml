@@ -184,7 +184,7 @@ let test_jsonl_roundtrip () =
     lines
 
 (* ------------------------------------------------------------------ *)
-(* Cache counters vs Ops.cache_stats on a repeated plane sweep        *)
+(* Cache counters vs Ops.Cache.stats on a repeated plane sweep       *)
 (* ------------------------------------------------------------------ *)
 
 let cval snap name =
@@ -194,10 +194,10 @@ let cval snap name =
 
 let test_cache_counters_reconcile () =
   (* start both ledgers from zero so they must agree exactly *)
-  O.set_caching true;
-  O.clear_cache ();
+  O.Cache.set_enabled O.Cache.default true;
+  O.Cache.clear O.Cache.default;
   O.Cache.reset_stats O.Cache.default;
-  O.reset_run_count ();
+  O.Cache.reset_requests O.Cache.default;
   O.reset_lane_fallbacks ();
   Tel.reset ();
   Tel.set_enabled true;
@@ -207,11 +207,11 @@ let test_cache_counters_reconcile () =
       ~placement:D.True_bl ~op:O.W0 ()
   in
   let p1 = plane () in
-  let mid = O.cache_stats () in
+  let mid = O.Cache.stats O.Cache.default in
   Alcotest.(check bool) "first sweep ran simulations" true (mid.misses > 0);
   let p2 = plane () in
   Tel.set_enabled false;
-  let st = O.cache_stats () in
+  let st = O.Cache.stats O.Cache.default in
   let snap = Tel.snapshot () in
   Alcotest.(check int) "telemetry requests = cache requests" st.requests
     (cval snap "dram.ops.requests");
@@ -237,6 +237,60 @@ let test_cache_counters_reconcile () =
   (* and the planes themselves agree *)
   Alcotest.(check (float 1e-12)) "cached sweep reproduces vmp" p1.vmp p2.vmp
 
+(* every integrated lane either steps through a grid point or skips it
+   by resuming from a cached op-boundary state: over the nested
+   detection conditions (one lane each, then four lanes in one run) the
+   accepted steps plus the skipped ones are exactly the grid lengths *)
+let test_prefix_steps_reconcile () =
+  let cache = O.Cache.create () in
+  let config = Dramstress_dram.Sim_config.v ~steps_per_cycle:40 () in
+  let open_at r = D.v (D.Open_cell D.At_bitline_contact) D.True_bl r in
+  let nested primes = List.init primes (fun _ -> O.W1) @ [ O.W0; O.R ] in
+  O.reset_prefix_stats ();
+  Tel.reset ();
+  Tel.set_enabled true;
+  let singles =
+    List.map
+      (fun primes ->
+        O.run ~config ~cache ~stress:S.nominal ~defect:(open_at 2e5)
+          ~vc_init:0.0 (nested primes))
+      [ 1; 2; 3; 4 ]
+  in
+  let lanes =
+    List.map
+      (fun r -> { O.defect = Some (open_at r); vc_init = 0.0 })
+      [ 1e4; 1e5; 1e6; 1e7 ]
+  in
+  let batched =
+    List.concat_map
+      (fun primes ->
+        List.map Result.get_ok
+          (O.run_batch ~config ~cache ~stress:S.nominal ~lanes (nested primes)))
+      [ 1; 2; 3 ]
+  in
+  Tel.set_enabled false;
+  let snap = Tel.snapshot () in
+  let grid_steps =
+    List.fold_left
+      (fun acc oc ->
+        acc + Array.length oc.O.trace.Dramstress_engine.Transient.times - 1)
+      0 (singles @ batched)
+  in
+  let p = O.prefix_stats () in
+  Alcotest.(check bool) "lanes resumed" true (p.O.resumes > 0);
+  Alcotest.(check int) "no step rejected" 0
+    (cval snap "engine.transient.steps_rejected");
+  Alcotest.(check int) "accepted + skipped = grid steps" grid_steps
+    (cval snap "engine.transient.steps_accepted"
+    + cval snap "dram.ops.prefix_steps_skipped");
+  Alcotest.(check int) "skipped = always-on mirror" p.O.steps_skipped
+    (cval snap "dram.ops.prefix_steps_skipped");
+  Alcotest.(check int) "resumes = always-on mirror" p.O.resumes
+    (cval snap "dram.ops.prefix_resumes");
+  Alcotest.(check int) "misses = integrator lanes"
+    (O.Cache.stats cache).O.misses
+    (cval snap "engine.ensemble.lanes")
+
 let () =
   Alcotest.run "telemetry"
     [
@@ -261,5 +315,7 @@ let () =
         [
           Alcotest.test_case "counters reconcile with cache_stats" `Slow
             test_cache_counters_reconcile;
+          Alcotest.test_case "accepted + skipped steps = grid steps" `Quick
+            test_prefix_steps_reconcile;
         ] );
     ]
