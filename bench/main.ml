@@ -225,7 +225,10 @@ let ablation () =
   (* integrator choice: backward Euler vs trapezoidal on a full op *)
   let residual integrator =
     let sim = { Dramstress_engine.Options.default with integrator } in
-    let oc = O.run ~sim ~stress:nominal ~defect ~vc_init:2.4 [ O.W0 ] in
+    let oc =
+      O.run ~config:(Sc.v ~sim ()) ~stress:nominal ~defect ~vc_init:2.4
+        [ O.W0 ]
+    in
     (List.hd oc.O.results).O.vc_end
   in
   let r_be = residual Dramstress_engine.Options.Backward_euler in
@@ -239,12 +242,15 @@ let ablation () =
     (fun c_ref ->
       let tech = { T.default with T.c_ref } in
       Printf.printf "  c_ref = %sF: Vmp = %.2f V\n" (U.si_string c_ref)
-        (C.Plane.vmp ~tech ~stress:nominal ()))
+        (C.Plane.vmp ~config:(Sc.v ~tech ()) ~stress:nominal ()))
     [ 20e-15; 34e-15; 50e-15 ];
   (* the fixed write-command latency is the timing-stress mechanism:
      making it scale with tcyc kills the Figure-3 effect *)
   let residual_with tech stress =
-    let oc = O.run ~tech ~stress ~defect ~vc_init:stress.S.vdd [ O.W0 ] in
+    let oc =
+      O.run ~config:(Sc.v ~tech ()) ~stress ~defect ~vc_init:stress.S.vdd
+        [ O.W0 ]
+    in
     (List.hd oc.O.results).O.vc_end
   in
   let scaled_tech tcyc =
@@ -270,8 +276,8 @@ let ablation () =
   List.iter
     (fun spc ->
       let oc =
-        O.run ~steps_per_cycle:spc ~stress:nominal ~defect ~vc_init:2.4
-          [ O.W0 ]
+        O.run ~config:(Sc.v ~steps_per_cycle:spc ()) ~stress:nominal ~defect
+          ~vc_init:2.4 [ O.W0 ]
       in
       Printf.printf "  steps/cycle %4d: w0 residual %.4f V\n" spc
         (List.hd oc.O.results).O.vc_end)
@@ -301,16 +307,20 @@ let perf_engine_ab () =
   (* --- transient step cost, ns per accepted time point ------------- *)
   O.Cache.set_enabled O.Cache.default false;
   let trace_points sim =
-    let oc = O.run ~sim ~stress:nominal ~defect ~vc_init:2.4 [ O.W0 ] in
+    let oc =
+      O.run ~config:(Sc.v ~sim ()) ~stress:nominal ~defect ~vc_init:2.4
+        [ O.W0 ]
+    in
     Array.length oc.O.trace.Dramstress_engine.Transient.times
   in
   let n_pts = trace_points sim_fast in
   let reps = 5 in
   let step_ns sim =
+    let config = Sc.v ~sim () in
     let dt =
       wall (fun () ->
           for _ = 1 to reps do
-            ignore (O.run ~sim ~stress:nominal ~defect ~vc_init:2.4 [ O.W0 ])
+            ignore (O.run ~config ~stress:nominal ~defect ~vc_init:2.4 [ O.W0 ])
           done)
     in
     1e9 *. dt /. float_of_int (reps * n_pts)
@@ -330,8 +340,9 @@ let perf_engine_ab () =
      below; the naive path measures far above it. *)
   let alloc_limit = 64.0 in
   let words_per_point sim =
+    let config = Sc.v ~sim () in
     let w0 = Gc.minor_words () in
-    ignore (O.run ~sim ~stress:nominal ~defect ~vc_init:2.4 [ O.W0 ]);
+    ignore (O.run ~config ~stress:nominal ~defect ~vc_init:2.4 [ O.W0 ]);
     (Gc.minor_words () -. w0) /. float_of_int n_pts
   in
   let words_fast = words_per_point sim_fast in
@@ -351,14 +362,15 @@ let perf_engine_ab () =
        plane for one defect kind. The three planes share the defect-free
        V_mp bisection and the per-resistance V_sa bisections, which is
        exactly where the memo cache pays off *)
+    let config = { config with Sc.sim = Some sim; jobs = Some 1 } in
     List.iter
       (fun op ->
         ignore
-          (C.Plane.write_plane ~sim ~config ~jobs:1 ~n_ops:2 ~rops
-             ~stress:nominal ~kind:open_kind ~placement:D.True_bl ~op ()))
+          (C.Plane.write_plane ~config ~n_ops:2 ~rops ~stress:nominal
+             ~kind:open_kind ~placement:D.True_bl ~op ()))
       [ O.W0; O.W1 ];
     ignore
-      (C.Plane.read_plane ~sim ~config ~jobs:1 ~n_ops:2 ~rops ~stress:nominal
+      (C.Plane.read_plane ~config ~n_ops:2 ~rops ~stress:nominal
          ~kind:open_kind ~placement:D.True_bl ())
   in
   O.Cache.set_enabled O.Cache.default false;
@@ -490,7 +502,8 @@ let perf_engine_ab () =
        assembly wins only). *)
     for _ = 1 to 2 do
       ignore
-        (M.Shmoo.generate ~sim ~jobs:1 ~stress:nominal ~defect ~detection
+        (M.Shmoo.generate ~config:(Sc.v ~sim ~jobs:1 ()) ~stress:nominal
+           ~defect ~detection
            ~x:(S.Cycle_time, Dramstress_util.Grid.linspace 50e-9 75e-9 6)
            ~y:(S.Supply_voltage, [ 2.4 ])
            ())
@@ -621,7 +634,9 @@ let perf_engine_ab () =
   O.Cache.set_enabled O.Cache.default false;
   Tel.set_enabled true;
   Tel.reset ();
-  ignore (O.run ~sim:sim_fast ~stress:nominal ~defect ~vc_init:2.4 [ O.W0 ]);
+  ignore
+    (O.run ~config:(Sc.v ~sim:sim_fast ()) ~stress:nominal ~defect
+       ~vc_init:2.4 [ O.W0 ]);
   Tel.set_enabled false;
   let snap = Tel.snapshot () in
   let cval name =
@@ -763,8 +778,9 @@ let resilience () =
   let rops = Dramstress_util.Grid.logspace 1e3 1e6 6 in
   let sweep ?checkpoint () =
     ignore
-      (C.Plane.write_plane ?checkpoint ~jobs:1 ~n_ops:2 ~rops ~stress:nominal
-         ~kind:open_kind ~placement:D.True_bl ~op:O.W0 ())
+      (C.Plane.write_plane ~config:(Sc.v ~jobs:1 ()) ?checkpoint ~n_ops:2
+         ~rops ~stress:nominal ~kind:open_kind ~placement:D.True_bl ~op:O.W0
+         ())
   in
   (* memo cache off so the replay speedup measures the checkpoint store,
      not the in-process LRU *)
@@ -879,14 +895,15 @@ let health () =
   (* --- fig2-style plane sweep: w0 + w1 + read planes, one domain ---- *)
   let rops = Dramstress_util.Grid.logspace 1e3 1e6 4 in
   let plane_sweep config () =
+    let config = { config with Sc.jobs = Some 1 } in
     List.iter
       (fun op ->
         ignore
-          (C.Plane.write_plane ~config ~jobs:1 ~n_ops:2 ~rops ~stress:nominal
+          (C.Plane.write_plane ~config ~n_ops:2 ~rops ~stress:nominal
              ~kind:open_kind ~placement:D.True_bl ~op ()))
       [ O.W0; O.W1 ];
     ignore
-      (C.Plane.read_plane ~config ~jobs:1 ~n_ops:2 ~rops ~stress:nominal
+      (C.Plane.read_plane ~config ~n_ops:2 ~rops ~stress:nominal
          ~kind:open_kind ~placement:D.True_bl ())
   in
   let plane_s config =
@@ -1043,8 +1060,10 @@ let campaign () =
               | _ -> assert false
             in
             ignore
-              (C.Border.search ~config:m.Cp.Manifest.config ~r_min:1e4
-                 ~r_max:1e8 ~grid_points:5 ~rel_tol:0.05
+              (C.Border.search ~config:m.Cp.Manifest.config
+                 ~window:
+                   (C.Border.Window.v ~r_min:1e4 ~r_max:1e8 ~grid_points:5
+                      ~rel_tol:0.05 ())
                  ~stress:p.Cp.Plan.stress ~kind:p.Cp.Plan.defect.D.kind
                  ~placement:p.Cp.Plan.placement d))
           points)

@@ -172,7 +172,7 @@ let adaptive_arg =
 
 let window_term =
   let v r_min r_max grid_points rel_tol adaptive =
-    C.Border.Window.over ?r_min ?r_max ?grid_points ?rel_tol
+    C.Border.Window.v ?r_min ?r_max ?grid_points ?rel_tol
       ~strategy:
         (if adaptive then C.Border.Window.Adaptive else C.Border.Window.Grid)
       ()

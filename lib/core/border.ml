@@ -7,7 +7,6 @@ module Sc = Dramstress_dram.Sim_config
 module E = Dramstress_engine
 module Ck = Dramstress_util.Checkpoint
 module Par = Dramstress_util.Par
-module Chaos = Dramstress_util.Chaos
 module Tel = Dramstress_util.Telemetry
 
 let c_skipped = Tel.Counter.make "core.border.skipped_samples"
@@ -139,18 +138,6 @@ module Window = struct
     v ?r_min ?r_max ?grid_points ?rel_tol ~strategy:Adaptive ()
 
   let with_strategy strategy w = { w with strategy }
-
-  (* legacy-optional merge: the deprecated [?r_min ?r_max ?grid_points
-     ?rel_tol] spellings override the matching fields of [base] *)
-  let over ?(base = default) ?r_min ?r_max ?grid_points ?rel_tol ?strategy ()
-      =
-    v
-      ~r_min:(Option.value r_min ~default:base.r_min)
-      ~r_max:(Option.value r_max ~default:base.r_max)
-      ~grid_points:(Option.value grid_points ~default:base.grid_points)
-      ~rel_tol:(Option.value rel_tol ~default:base.rel_tol)
-      ~strategy:(Option.value strategy ~default:base.strategy)
-      ()
 
   let strategy_name = function Grid -> "grid" | Adaptive -> "adaptive"
 
@@ -320,50 +307,44 @@ let decode_probe = function
   | "x" -> Some None
   | _ -> None
 
-let search ?tech ?config ?checkpoint ?window ?r_min ?r_max ?grid_points
-    ?rel_tol ?(hint = []) ~stress ~kind ~placement cond =
-  let w = Window.over ?base:window ?r_min ?r_max ?grid_points ?rel_tol () in
+let search ?config ?checkpoint ?window:(w = Window.default) ?(hint = [])
+    ~stress ~kind ~placement cond =
   (* the physics fingerprint: everything a single probe's boolean
      outcome depends on, excluding the window (a probe at resistance r
-     is the same simulation whatever window asked for it) *)
+     is the same simulation whatever window asked for it). The leading
+     [None] keeps the marshalled shape, and so every stored key, of the
+     revisions that also took a separate technology argument. *)
   let fp =
-    lazy (Ck.fingerprint (tech, config, stress, kind, placement, cond))
+    lazy
+      (Ck.fingerprint
+         ( (None : Dramstress_dram.Tech.t option),
+           config, stress, kind, placement, cond ))
   in
   let compute () =
-    let cfg = Sc.resolve ?tech ?config () in
+    let cfg = Option.value config ~default:Sc.default in
     let detect r =
       Tel.Counter.incr c_probes;
       Detection.detects ~config:cfg ~stress ~defect:(D.v kind placement r)
         cond
-    in
-    let try_detect r =
-      match detect r with
-      | b -> Some b
-      | exception e when is_solver_failure e ->
-        Tel.Counter.incr c_skipped;
-        None
     in
     let grid =
       Array.of_list (G.logspace w.Window.r_min w.Window.r_max w.Window.grid_points)
     in
     let n = Array.length grid in
     let lanes_max = Sc.resolve_lanes cfg in
-    let use_batch =
-      lanes_max > 1 && cfg.Sc.deadline = None && not (Chaos.armed ())
-    in
-    (* [scan rs] simulates each resistance of [rs] in order. Batched by
-       default: the resistances become lanes of shared runs
-       ([O.run_batch]) judged per lane; one run per point for
-       [lanes = 1], per-point deadlines, or an armed chaos harness —
-       same values, same cache keys, either way. The refinement
-       bisections below stay one point per run: each walks its own
-       resistance trajectory, and caching makes revisits free. *)
+    (* [scan rs] simulates the resistances [rs] as lanes of shared runs
+       ([O.run_batch]) in chunks of the configured ensemble width that
+       fan out over domains, and judges each lane. A chunk of one lane
+       is a plain one-point run, and [O.run_batch] gives every
+       deadline-bound miss a run of its own, so values and cache keys
+       do not depend on the width. The refinement bisections below stay
+       one point per run: each walks its own resistance trajectory, and
+       caching makes revisits free. *)
     let scan rs =
-      if use_batch && List.length rs > 1 then begin
-        let defects = List.map (fun r -> D.v kind placement r) rs in
-        let vc_init =
-          Detection.initial_vc cond ~stress ~defect:(List.hd defects)
-        in
+      match List.map (fun r -> D.v kind placement r) rs with
+      | [] -> []
+      | defect :: _ as defects ->
+        let vc_init = Detection.initial_vc cond ~stress ~defect in
         let results =
           List.concat
             (Par.parallel_map ~jobs:(Sc.resolve_jobs cfg)
@@ -389,8 +370,6 @@ let search ?tech ?config ?checkpoint ?window ?r_min ?r_max ?grid_points
               (r, None)
             | Error e -> raise e)
           rs results
-      end
-      else List.map (fun r -> (r, try_detect r)) rs
     in
     let samples =
       match w.Window.strategy with
@@ -517,17 +496,6 @@ let covered_ranges polarity result ~r_min ~r_max =
     List.map (fun b -> (edge_mid b.b_lo, edge_mid b.b_hi)) bands
   | Br r, D.High_r_fails -> [ (r, r_max) ]
   | Br r, D.Low_r_fails -> [ (r_min, r) ]
-
-let covered_range polarity result ~r_min ~r_max =
-  match covered_ranges polarity result ~r_min ~r_max with
-  | [] -> None
-  | (lo0, hi0) :: rest ->
-    (* the hull: for multi-band results this overstates the covered area;
-       [covered_ranges] has the honest list *)
-    Some
-      (List.fold_left
-         (fun (lo, hi) (l, h) -> (Float.min lo l, Float.max hi h))
-         (lo0, hi0) rest)
 
 let notional_min = 1e3
 let notional_max = 1e11

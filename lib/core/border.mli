@@ -66,19 +66,9 @@ val of_samples :
     optional-argument sprawl into one value that can be stored in
     manifests, fingerprinted into campaign store keys, and threaded
     unchanged through {!Plane}, {!Exhaustive}, {!Table1},
-    {!Sc_eval.best_detection} and the CLI.
-
-    {2 Migration from the deprecated optionals}
-
-    Old spelling (still accepted for one release):
-    {[ Border.search ~r_min:1e4 ~r_max:1e8 ~grid_points:25 ~rel_tol:0.05 ... ]}
-    New spelling:
+    {!Sc_eval.best_detection} and the CLI:
     {[ Border.search ~window:(Border.Window.v ~r_min:1e4 ~r_max:1e8
-         ~grid_points:25 ~rel_tol:0.05 ()) ... ]}
-    When both are given, the explicit optionals override the matching
-    fields of [window] ({!Window.over} semantics), so partial migrations
-    behave predictably. The deprecated optionals will be removed in the
-    release after next. *)
+         ~grid_points:25 ~rel_tol:0.05 ()) ... ]} *)
 module Window : sig
   (** How the window is scanned.
 
@@ -124,13 +114,6 @@ module Window : sig
 
   val with_strategy : strategy -> t -> t
 
-  (** [over ?base ...] rebuilds [base] (default {!default}) with any
-      explicitly given fields replaced — the merge rule behind the
-      deprecated optional arguments. *)
-  val over :
-    ?base:t -> ?r_min:float -> ?r_max:float -> ?grid_points:int ->
-    ?rel_tol:float -> ?strategy:strategy -> unit -> t
-
   val strategy_name : strategy -> string
   val strategy_of_name : string -> strategy option
 
@@ -172,8 +155,8 @@ val adaptive_scan :
   (int list -> (int * bool option) list) ->
   (int * bool option) list
 
-(** [search ?tech ?config ?checkpoint ?window ?hint ~stress ~kind
-    ~placement cond] scans [window]'s log grid (default {!Window.default}:
+(** [search ?config ?checkpoint ?window ?hint ~stress ~kind ~placement
+    cond] scans [window]'s log grid (default {!Window.default}:
     13 points over [1 kOhm, 100 GOhm]) for detection-outcome changes and
     refines each edge by bisection to the window's [rel_tol]. One edge
     yields {!Br}; an interior detected region yields {!Faulty_band};
@@ -188,9 +171,10 @@ val adaptive_scan :
     sees fewer samples than a cold adaptive one. [hint] is ignored under
     [Grid].
 
-    The deprecated [?r_min ?r_max ?grid_points ?rel_tol] optionals
-    override the matching [window] fields ({!Window.over}) and will be
-    removed in the release after next.
+    Grid samples (and adaptive probes) are simulated as lanes of shared
+    runs ({!Dramstress_dram.Ops.run_batch}) in chunks of
+    [config.lanes] points; every lane width yields the same result.
+    [config] defaults to {!Dramstress_dram.Sim_config.default}.
 
     Grid samples and edge refinements that fail with a solver error
     ([Transient.Step_failed], [Newton.No_convergence],
@@ -207,14 +191,9 @@ val adaptive_scan :
     run killed mid-refinement resumes by re-simulating only the probes
     and brackets it had not finished. *)
 val search :
-  ?tech:Dramstress_dram.Tech.t ->
   ?config:Dramstress_dram.Sim_config.t ->
   ?checkpoint:Dramstress_util.Checkpoint.t ->
   ?window:Window.t ->
-  ?r_min:float ->
-  ?r_max:float ->
-  ?grid_points:int ->
-  ?rel_tol:float ->
   ?hint:float list ->
   stress:Dramstress_dram.Stress.t ->
   kind:Dramstress_defect.Defect.kind ->
@@ -242,13 +221,6 @@ val decode_result : string -> result option
 val covered_ranges :
   Dramstress_defect.Defect.polarity -> result -> r_min:float -> r_max:float ->
   (float * float) list
-
-(** [covered_range polarity result ~r_min ~r_max] is the hull of
-    {!covered_ranges} — kept for compatibility; for {!Bands} results it
-    overstates the covered area. *)
-val covered_range :
-  Dramstress_defect.Defect.polarity -> result -> r_min:float -> r_max:float ->
-  (float * float) option
 
 (** [coverage_width polarity result] is the total covered width in log
     decades — summed across bands — over the notional

@@ -17,11 +17,10 @@ type t = {
   failures : S.t Dramstress_util.Outcome.failure list;
 }
 
-let optimize ?tech ?jobs ?config ?checkpoint ?window
+let optimize ?(config = Sc.default) ?checkpoint ?window
     ?(tcyc_values = [ 55e-9; 60e-9; 65e-9 ])
     ?(temp_values = [ -33.0; 27.0; 87.0 ])
     ?(vdd_values = [ 2.1; 2.4; 2.7 ]) ~nominal ~kind ~placement detection =
-  let config = Sc.resolve ?tech ?jobs ?config () in
   let polarity = D.polarity kind in
   let before = O.Cache.requests O.Cache.default in
   let combos =
@@ -84,18 +83,18 @@ type comparison = {
   agreement : bool;
 }
 
-let compare_methods ?tech ?config ?checkpoint ?window ~nominal ~kind
-    ~placement () =
+let compare_methods ?config ?checkpoint ?window ~nominal ~kind ~placement
+    () =
   let detection =
     Detection.standard ~victim:(D.logical_victim kind placement) ~primes:2
   in
   let exhaustive =
-    optimize ?tech ?config ?checkpoint ?window ~nominal ~kind ~placement
+    optimize ?config ?checkpoint ?window ~nominal ~kind ~placement
       detection
   in
   let before = O.Cache.requests O.Cache.default in
   let e =
-    Sc_eval.evaluate ?tech ?config ?checkpoint ?window ~nominal ~kind
+    Sc_eval.evaluate ?config ?checkpoint ?window ~nominal ~kind
       ~placement ()
   in
   let probe_simulations = O.Cache.requests O.Cache.default - before in

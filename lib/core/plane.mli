@@ -39,52 +39,49 @@ type t = {
   stress : Dramstress_dram.Stress.t;
 }
 
-(** [vmp ?tech ?sim ?config ~stress ()] is the read threshold of the
-    defect-free column — the voltage border between a stored 0 and 1.
+(** [vmp ?config ~stress ()] is the read threshold of the defect-free
+    column — the voltage border between a stored 0 and 1.
 
     Everywhere in this module, [config] bundles the simulation
-    parameters ({!Dramstress_dram.Sim_config.t}); the loose
-    [?tech ?sim ?jobs] optionals are the original spelling, kept for
-    compatibility, and override matching [config] fields when both are
-    given. *)
+    parameters ({!Dramstress_dram.Sim_config.t}, default
+    {!Dramstress_dram.Sim_config.default}). *)
 val vmp :
-  ?tech:Dramstress_dram.Tech.t ->
-  ?sim:Dramstress_engine.Options.t ->
   ?config:Dramstress_dram.Sim_config.t ->
   stress:Dramstress_dram.Stress.t ->
   unit -> float
 
-(** [vsa ?tech ?sim ?config ~stress ~defect ()] is the sense threshold
-    for the given defect instance (bisection on the initial storage
-    voltage, 10 mV resolution). *)
+(** [vsa ?config ~stress ~defect ()] is the sense threshold for the
+    given defect instance (bisection on the initial storage voltage,
+    10 mV resolution). *)
 val vsa :
-  ?tech:Dramstress_dram.Tech.t ->
-  ?sim:Dramstress_engine.Options.t ->
   ?config:Dramstress_dram.Sim_config.t ->
   stress:Dramstress_dram.Stress.t ->
   defect:Dramstress_defect.Defect.t ->
   unit ->
   vsa_value
 
-(** [write_plane ?tech ?window ?n_ops ?rops ~stress ~kind ~placement ~op
-    ()] generates the plane for a repeated write ([W0] planes start from
-    a floating full-1 cell, [W1] planes from a full-0 cell, following
-    the paper). [n_ops] defaults to 4. The resistance axis is [rops]
-    when given; otherwise it derives from [window] ({!Border.Window.t}
-    bounds and grid resolution, so planes and border searches of one
-    campaign share an axis); otherwise 12 points over [1 kOhm, 1 MOhm].
+(** [write_plane ?config ?checkpoint ?window ?n_ops ?rops ~stress ~kind
+    ~placement ~op ()] generates the plane for a repeated write ([W0]
+    planes start from a floating full-1 cell, [W1] planes from a full-0
+    cell, following the paper). [n_ops] defaults to 4. The resistance
+    axis is [rops] when given; otherwise it derives from [window]
+    ({!Border.Window.t} bounds and grid resolution, so planes and border
+    searches of one campaign share an axis); otherwise 12 points over
+    [1 kOhm, 1 MOhm].
     Raises [Invalid_argument] if [op] is a read or pause.
 
-    [jobs] caps the number of domains used for the resistance sweep
-    (each point is an independent simulation); it defaults to
-    [Dramstress_util.Par.resolve_jobs] (which honours the
-    [DRAMSTRESS_JOBS] environment variable), and [~jobs:1] forces a
-    sequential sweep. [sim] overrides the solver options of every
-    underlying run.
+    The resistances are lanes of shared integrator runs
+    ({!Dramstress_dram.Ops.run_batch}): the write round, then a
+    lockstep [V_sa] bisection that follows {!vsa}'s trajectory lane by
+    lane. Lanes are cut into chunks of [config.lanes] points
+    ({!Dramstress_dram.Sim_config.resolve_lanes}) that fan out over
+    [config.jobs] domains ({!Dramstress_dram.Sim_config.resolve_jobs});
+    a chunk of one lane is a plain one-point run, so every lane width
+    yields the same plane. With a [config.deadline], every point that
+    misses the memo cache runs alone within its own budget.
 
-    When {!Dramstress_util.Telemetry} is enabled, each resistance point
-    observes the shared [core.sweep.point_ms] histogram and emits a
-    [plane.point] span.
+    When {!Dramstress_util.Telemetry} is enabled, each chunk emits a
+    [plane.batch] span carrying its lane count.
 
     A point that raises — even after {!Dramstress_dram.Ops.run}'s retry
     ladder — lands in [t.failures] instead of aborting the sweep.
@@ -92,9 +89,6 @@ val vsa :
     planes are byte-identical) in a {!Dramstress_util.Checkpoint} store
     and replays it on resume. *)
 val write_plane :
-  ?tech:Dramstress_dram.Tech.t ->
-  ?sim:Dramstress_engine.Options.t ->
-  ?jobs:int ->
   ?config:Dramstress_dram.Sim_config.t ->
   ?checkpoint:Dramstress_util.Checkpoint.t ->
   ?window:Border.Window.t ->
@@ -107,15 +101,12 @@ val write_plane :
   unit ->
   t
 
-(** [read_plane ?tech ?n_ops ?rops ?offset ~stress ~kind ~placement ()]
-    generates the repeated-read plane: two trajectories per resistance,
-    seeded just below and just above [V_sa] (offset defaults to 0.2 V,
-    the paper's choice). [sim], [jobs], [config], [checkpoint] and
-    failure handling as in {!write_plane}. *)
+(** [read_plane ?config ?checkpoint ?window ?n_ops ?rops ?offset ~stress
+    ~kind ~placement ()] generates the repeated-read plane: two
+    trajectories per resistance, seeded just below and just above
+    [V_sa] (offset defaults to 0.2 V, the paper's choice). [config],
+    batching, [checkpoint] and failure handling as in {!write_plane}. *)
 val read_plane :
-  ?tech:Dramstress_dram.Tech.t ->
-  ?sim:Dramstress_engine.Options.t ->
-  ?jobs:int ->
   ?config:Dramstress_dram.Sim_config.t ->
   ?checkpoint:Dramstress_util.Checkpoint.t ->
   ?window:Border.Window.t ->

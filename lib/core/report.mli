@@ -1,13 +1,12 @@
 (** Text rendering of the paper's figures. *)
 
-(** [figure2 ?tech ?config ?rops ~stress ~kind ~placement ()] renders
+(** [figure2 ?config ?checkpoint ?rops ~stress ~kind ~placement ()] renders
     the three result planes (w0, w1, r) with the V_sa curve and V_mp
     marker — Figure 2 at the nominal SC, Figure 6 at a stressed SC.
     Also reports the geometric BR when the curves cross. [config]
     bundles solver options, retry policy and per-point deadline as in
     {!Plane.write_plane}. *)
 val figure2 :
-  ?tech:Dramstress_dram.Tech.t ->
   ?config:Dramstress_dram.Sim_config.t ->
   ?checkpoint:Dramstress_util.Checkpoint.t ->
   ?rops:float list ->
@@ -22,7 +21,6 @@ val figure2 :
     turn failed points into an exit status. Failed points are listed
     at the end of the rendering, never interpolated over. *)
 val figure2_with_failures :
-  ?tech:Dramstress_dram.Tech.t ->
   ?config:Dramstress_dram.Sim_config.t ->
   ?checkpoint:Dramstress_util.Checkpoint.t ->
   ?rops:float list ->
@@ -32,12 +30,12 @@ val figure2_with_failures :
   unit ->
   string * float Dramstress_util.Outcome.failure list
 
-(** [figure_st_panels ?tech ~stress ~axis ~values ~kind ~placement
+(** [figure_st_panels ?config ~stress ~axis ~values ~kind ~placement
     ~analysis_r ()] renders the two time-domain panels of Figures 3–5:
     V_c(t) during a victim write and during a read of a marginal cell,
-    one series per stress value. *)
+    one series per stress value, every run under [config]. *)
 val figure_st_panels :
-  ?tech:Dramstress_dram.Tech.t ->
+  ?config:Dramstress_dram.Sim_config.t ->
   stress:Dramstress_dram.Stress.t ->
   axis:Dramstress_dram.Stress.axis ->
   values:float list ->

@@ -30,23 +30,17 @@ val candidate_detections :
   placement:Dramstress_defect.Defect.placement ->
   Dramstress_defect.Defect.kind -> Detection.t list
 
-(** [best_detection ?tech ?window ~stress ~kind ~placement ()] picks the
-    candidate with the most covering BR at the given SC, returning the
-    winning condition with its BR. [window] passes through to every
-    underlying {!Border.search} (campaign manifests narrow it to bound
+(** [best_detection ?config ?checkpoint ?window ?hint ~stress ~kind
+    ~placement ()] picks the candidate with the most covering BR at the
+    given SC, returning the winning condition with its BR. [config],
+    [checkpoint] and [window] pass through to every underlying
+    {!Border.search} (campaign manifests narrow the window to bound
     cost), as does [hint] (warm-start border estimates from adjacent
-    campaign points). The [?r_min ?r_max ?grid_points ?rel_tol]
-    optionals are deprecated spellings of [window]'s fields and override
-    them when given ({!Border.Window.over}). *)
+    campaign points). *)
 val best_detection :
-  ?tech:Dramstress_dram.Tech.t ->
   ?config:Dramstress_dram.Sim_config.t ->
   ?checkpoint:Dramstress_util.Checkpoint.t ->
   ?window:Border.Window.t ->
-  ?r_min:float ->
-  ?r_max:float ->
-  ?grid_points:int ->
-  ?rel_tol:float ->
   ?hint:float list ->
   ?allow_pause:bool ->
   ?pause:float ->
@@ -56,13 +50,15 @@ val best_detection :
   unit ->
   Detection.t * Border.result
 
-(** [evaluate ?tech ?axes ?analysis_r ~nominal ~kind ~placement ()] runs
-    the complete flow. [axes] defaults to cycle time, temperature and
-    supply voltage (the paper's three STs). [checkpoint] memoizes every
-    border search of the flow, so interrupted campaigns (e.g. Table 1)
-    resume without repeating finished searches. *)
+(** [evaluate ?config ?checkpoint ?window ?axes ?analysis_r ?pause
+    ~nominal ~kind ~placement ()] runs the complete flow. [axes]
+    defaults to cycle time, temperature and supply voltage (the paper's
+    three STs). Every simulation of the flow — border searches and the
+    axis probes ({!Stressor.probe_axis}) alike — runs under [config].
+    [checkpoint] memoizes every border search of the flow, so
+    interrupted campaigns (e.g. Table 1) resume without repeating
+    finished searches. *)
 val evaluate :
-  ?tech:Dramstress_dram.Tech.t ->
   ?config:Dramstress_dram.Sim_config.t ->
   ?checkpoint:Dramstress_util.Checkpoint.t ->
   ?window:Border.Window.t ->

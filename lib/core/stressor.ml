@@ -41,9 +41,9 @@ let victim_write kind placement =
   (* the physical level under attack is placement-independent *)
   (logical_op, D.victim_bit kind)
 
-let probe_axis ?tech ?checkpoint ?window ?(analysis_r = 200e3)
-    ?(epsilon = 0.01)
-    ?(force_br = false) ~stress ~kind ~placement ~detection axis values =
+let probe_axis ?config ?checkpoint ?window ?(analysis_r = 200e3)
+    ?(epsilon = 0.01) ?(force_br = false) ~stress ~kind ~placement ~detection
+    axis values =
   if List.length values < 2 then
     invalid_arg "Stressor.probe_axis: need at least two values";
   let victim_op, physical_target = victim_write kind placement in
@@ -52,7 +52,7 @@ let probe_axis ?tech ?checkpoint ?window ?(analysis_r = 200e3)
     let st = S.set stress axis value in
     (* write probe: one victim write from the complementary full level *)
     let vc_init = if physical_target = 0 then st.S.vdd else 0.0 in
-    let outcome = O.run ?tech ~stress:st ~defect ~vc_init [ victim_op ] in
+    let outcome = O.run ?config ~stress:st ~defect ~vc_init [ victim_op ] in
     let vc_end = (List.hd outcome.O.results).O.vc_end in
     let target_v = if physical_target = 0 then 0.0 else st.S.vdd in
     let write_residual = Float.abs (vc_end -. target_v) in
@@ -61,7 +61,7 @@ let probe_axis ?tech ?checkpoint ?window ?(analysis_r = 200e3)
        that must read as (physical) 1, which happens above V_sa: lower
        V_sa helps, so orientation flips. *)
     let vsa_raw =
-      match Plane.vsa ?tech ~stress:st ~defect () with
+      match Plane.vsa ?config ~stress:st ~defect () with
       | Plane.Vsa v -> v
       | Plane.Reads_all_1 -> 0.0
       | Plane.Reads_all_0 -> st.S.vdd
@@ -83,7 +83,7 @@ let probe_axis ?tech ?checkpoint ?window ?(analysis_r = 200e3)
   let br_compare () =
     let br_of v =
       ( v,
-        Border.search ?tech ?checkpoint ?window
+        Border.search ?config ?checkpoint ?window
           ~stress:(S.set stress axis v) ~kind ~placement detection )
     in
     let b_lo = br_of lo and b_hi = br_of hi in
@@ -131,8 +131,8 @@ let apply_verdict probe ~stress =
   | Increase -> nudge probe.axis 1.0
   | Decrease -> nudge probe.axis (-1.0)
 
-let trace_vc ?tech ~stress ~defect ~vc_init op =
-  let outcome = O.run ?tech ~stress ~defect ~vc_init [ op ] in
+let trace_vc ?config ~stress ~defect ~vc_init op =
+  let outcome = O.run ?config ~stress ~defect ~vc_init [ op ] in
   Dramstress_util.Interp.points (O.vc_curve outcome)
 
 let pp_probe ppf p =

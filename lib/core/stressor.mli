@@ -38,17 +38,21 @@ type probe = {
   rationale : string;
 }
 
-(** [probe_axis ?tech ?analysis_r ?epsilon ?force_br ~stress ~kind
-    ~placement ~detection axis values] measures the axis at the given
-    candidate [values] (ordered; at least two). [analysis_r] is the
-    defect resistance the probes run at (default 200 kOhm, the paper's
-    choice). [epsilon] is the significance floor for calling a direction
-    (default 10 mV). [force_br] always resolves by BR comparison.
-    [checkpoint] memoizes the BR searches a conflicting verdict falls
-    back to; [window] is the {!Border.Window} those searches run
-    under (default {!Border.Window.default}). *)
+(** [probe_axis ?config ?checkpoint ?window ?analysis_r ?epsilon
+    ?force_br ~stress ~kind ~placement ~detection axis values] measures
+    the axis at the given candidate [values] (ordered; at least two).
+    [analysis_r] is the defect resistance the probes run at (default
+    200 kOhm, the paper's choice). [epsilon] is the significance floor
+    for calling a direction (default 10 mV). [force_br] always resolves
+    by BR comparison.
+    Every probe — the write run, the [V_sa] bisection and the BR
+    searches a conflicting verdict falls back to — simulates under
+    [config] ({!Dramstress_dram.Sim_config.t}, default
+    {!Dramstress_dram.Sim_config.default}). [checkpoint] memoizes those
+    BR searches; [window] is the {!Border.Window} they run under
+    (default {!Border.Window.default}). *)
 val probe_axis :
-  ?tech:Dramstress_dram.Tech.t ->
+  ?config:Dramstress_dram.Sim_config.t ->
   ?checkpoint:Dramstress_util.Checkpoint.t ->
   ?window:Border.Window.t ->
   ?analysis_r:float ->
@@ -76,10 +80,11 @@ val default_values :
 val apply_verdict :
   probe -> stress:Dramstress_dram.Stress.t -> Dramstress_dram.Stress.t
 
-(** [trace_vc ?tech ~stress ~defect ~vc_init op] is the V_c(t) waveform
-    over a single operation — the raw material of Figures 3–5. *)
+(** [trace_vc ?config ~stress ~defect ~vc_init op] is the V_c(t)
+    waveform over a single operation — the raw material of Figures
+    3–5. *)
 val trace_vc :
-  ?tech:Dramstress_dram.Tech.t ->
+  ?config:Dramstress_dram.Sim_config.t ->
   stress:Dramstress_dram.Stress.t ->
   defect:Dramstress_defect.Defect.t ->
   vc_init:float ->

@@ -21,10 +21,12 @@ type t = {
   nominal : S.t;
 }
 
-let generate ?tech ?jobs ?config ?checkpoint ?window ?(nominal = S.nominal)
-    ?(entries = D.catalog) ?(placements = [ D.True_bl; D.Comp_bl ]) ?axes
-    ?pause () =
-  let config = Sc.resolve ?tech ?jobs ?config () in
+let generate ?jobs ?(config = Sc.default) ?checkpoint ?window
+    ?(nominal = S.nominal) ?(entries = D.catalog)
+    ?(placements = [ D.True_bl; D.Comp_bl ]) ?axes ?pause () =
+  let config =
+    match jobs with Some _ -> { config with Sc.jobs } | None -> config
+  in
   (* one work item per (defect, placement) row; rows are independent.
      A row whose evaluation fails outright becomes a [Failed] slot so
      one pathological defect cannot sink the whole table. *)

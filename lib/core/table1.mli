@@ -17,17 +17,18 @@ type t = {
   nominal : Dramstress_dram.Stress.t;
 }
 
-(** [generate ?tech ?jobs ?nominal ?entries ?placements ()] runs the full
-    optimization for every catalog entry and placement. The three opens
-    are electrically equivalent; pass [entries] to restrict (e.g. one
-    open representative) when compute time matters. Rows are evaluated
-    in parallel over at most [jobs] domains (default
-    [Dramstress_util.Par.resolve_jobs]; [~jobs:1] is sequential).
-    [config] bundles the simulation parameters
-    ({!Dramstress_dram.Sim_config.t}); explicit [?tech ?jobs] override
-    matching [config] fields. Each row observes the shared
-    [core.sweep.point_ms] telemetry histogram and emits a [table1.row]
-    span.
+(** [generate ?jobs ?config ?checkpoint ?window ?nominal ?entries
+    ?placements ?axes ?pause ()] runs the full optimization for every
+    catalog entry and placement. The three opens are electrically
+    equivalent; pass [entries] to restrict (e.g. one open
+    representative) when compute time matters. [config] bundles the
+    simulation parameters ({!Dramstress_dram.Sim_config.t}, default
+    {!Dramstress_dram.Sim_config.default}) of every simulation of every
+    row. Rows are evaluated in parallel over at most [config.jobs]
+    domains ({!Dramstress_dram.Sim_config.resolve_jobs}); [jobs], when
+    given, replaces [config.jobs] ([~jobs:1] is sequential). Each row
+    observes the shared [core.sweep.point_ms] telemetry histogram and
+    emits a [table1.row] span.
 
     [checkpoint] threads a {!Dramstress_util.Checkpoint} store through
     every border search of every row: an interrupted table regeneration
@@ -39,7 +40,6 @@ type t = {
     {!Dramstress_stressaxis.Stressaxis} works; the rendered/CSV
     direction columns follow the probed axes. *)
 val generate :
-  ?tech:Dramstress_dram.Tech.t ->
   ?jobs:int ->
   ?config:Dramstress_dram.Sim_config.t ->
   ?checkpoint:Dramstress_util.Checkpoint.t ->

@@ -695,13 +695,14 @@ let g_lane_fallbacks = Atomic.make 0
 let lane_fallbacks () = Atomic.get g_lane_fallbacks
 let reset_lane_fallbacks () = Atomic.set g_lane_fallbacks 0
 
-let run_batch ?tech ?sim ?steps_per_cycle ?v_neighbour ?config
+let run_batch ?v_neighbour ?config:(cfg = Sim_config.default)
     ?(cache = Cache.default) ~stress ~lanes ops =
   if ops = [] then invalid_arg "Ops.run_batch: empty sequence";
   if List.exists (function Ham n -> n < 1 | W0 | W1 | R | Pause _ -> false) ops
   then invalid_arg "Ops.run_batch: hammer count < 1";
   if lanes = [] then invalid_arg "Ops.run_batch: no lanes";
   Stress.validate stress;
+  Sim_config.validate cfg;
   let shape = function
     | None -> None
     | Some { D.kind; placement; r = _ } -> Some (kind, placement)
@@ -713,7 +714,6 @@ let run_batch ?tech ?sim ?steps_per_cycle ?v_neighbour ?config
         invalid_arg
           "Ops.run_batch: lanes must share one defect kind and placement")
     lanes;
-  let cfg = Sim_config.resolve ?tech ?sim ?steps_per_cycle ?config () in
   let lanes_arr = Array.of_list lanes in
   let n = Array.length lanes_arr in
   (* per-lane cache keys and request/hit/miss ticks: a lane is a point,
@@ -794,11 +794,10 @@ let run_batch ?tech ?sim ?steps_per_cycle ?v_neighbour ?config
       missing);
   Array.to_list (Array.map Option.get slots)
 
-let run ?tech ?sim ?steps_per_cycle ?defect ?(vc_init = 0.0) ?v_neighbour
-    ?config ?cache ~stress ops =
+let run ?defect ?(vc_init = 0.0) ?v_neighbour ?config ?cache ~stress ops =
   if ops = [] then invalid_arg "Ops.run: empty sequence";
   match
-    run_batch ?tech ?sim ?steps_per_cycle ?v_neighbour ?config ?cache ~stress
+    run_batch ?v_neighbour ?config ?cache ~stress
       ~lanes:[ { defect; vc_init } ] ops
   with
   | [ Ok outcome ] -> outcome

@@ -202,25 +202,23 @@ type prefix_stats = { resumes : int; steps_skipped : int }
 val prefix_stats : unit -> prefix_stats
 val reset_prefix_stats : unit -> unit
 
-(** [run ?tech ?sim ?steps_per_cycle ?defect ?vc_init ?v_neighbour
-    ?config ?cache ~stress ops] executes the sequence.
+(** [run ?defect ?vc_init ?v_neighbour ?config ?cache ~stress ops]
+    executes the sequence: a {!run_batch} of one lane.
 
     - [vc_init] (default [0.0]): initial storage voltage, V — the paper's
       floating-cell initialisation.
     - [v_neighbour] (default: derived from [stress.pattern] — all-1
       pins it to the supply, the historical behaviour): initial
       neighbour-cell voltage (bridge aggressor / data background).
-    - [config] bundles technology / solver options / step resolution
-      ({!Sim_config.t}); the loose [?tech ?sim ?steps_per_cycle]
-      optionals are the original spelling, kept for compatibility, and
-      override the matching [config] fields when both are given
-      ({!Sim_config.resolve}).
+    - [config] (default {!Sim_config.default}) bundles technology,
+      solver options, step resolution, retry policy and deadline
+      ({!Sim_config.t}); it is checked with {!Sim_config.validate}.
     - [cache] (default {!Cache.default}) selects the memo cache.
     - The solver temperature is always taken from [stress]
       ({!Stress.temp_kelvin}), overriding any [sim] temperature.
 
     On [Transient.Step_failed] / [Newton.No_convergence] /
-    [Newton.Numerical_health] the resolved config's retry policy is
+    [Newton.Numerical_health] the config's retry policy is
     walked: each stage piles a further concession onto the previous
     ones (halved dt scale, multiplied steps-per-cycle, damped Newton)
     and the simulation is retried. A stage that converges returns its
@@ -239,9 +237,6 @@ val reset_prefix_stats : unit -> unit
     layers surface it as a [Failed] outcome slot while the rest of the
     campaign proceeds. *)
 val run :
-  ?tech:Tech.t ->
-  ?sim:Dramstress_engine.Options.t ->
-  ?steps_per_cycle:int ->
   ?defect:Dramstress_defect.Defect.t ->
   ?vc_init:float ->
   ?v_neighbour:float ->
@@ -269,9 +264,10 @@ type lane = {
   vc_init : float;
 }
 
-(** [run_batch ?tech ?sim ?steps_per_cycle ?v_neighbour ?config ?cache
-    ~stress ~lanes ops] is the batched [run]: one result slot per lane,
-    in lane order.
+(** [run_batch ?v_neighbour ?config ?cache ~stress ~lanes ops] is the
+    batched [run]: one result slot per lane, in lane order. Every
+    simulation passes through here, so this is where [config] is
+    checked ({!Sim_config.validate}).
 
     Each lane is accounted exactly like a {!run} call — its own cache
     key (interchangeable with {!run}'s keys), its own request / hit /
@@ -287,11 +283,9 @@ type lane = {
     budget has no meaning inside a shared run).
 
     Raises [Invalid_argument] for an empty [lanes] or [ops] list, a
-    [Ham n] with [n < 1], or lanes mixing defect kinds/placements. *)
+    [Ham n] with [n < 1], lanes mixing defect kinds/placements, or a
+    [config] that {!Sim_config.validate} rejects. *)
 val run_batch :
-  ?tech:Tech.t ->
-  ?sim:Dramstress_engine.Options.t ->
-  ?steps_per_cycle:int ->
   ?v_neighbour:float ->
   ?config:Sim_config.t ->
   ?cache:Cache.t ->

@@ -61,40 +61,17 @@ let default =
     deadline = None;
   }
 
-let validate_deadline = function
-  | None -> ()
-  | Some d ->
-    if not (d > 0.0) then invalid_arg "Sim_config: deadline must be > 0"
+let validate t =
+  if t.steps_per_cycle < 1 then invalid_arg "Sim_config: steps_per_cycle < 1";
+  validate_policy t.retry;
+  match t.deadline with
+  | Some d when not (d > 0.0) -> invalid_arg "Sim_config: deadline must be > 0"
+  | Some _ | None -> ()
 
 let v ?(tech = Tech.default) ?sim ?(steps_per_cycle = 400) ?jobs ?lanes
     ?(retry = default_retry) ?deadline () =
-  if steps_per_cycle < 1 then
-    invalid_arg "Sim_config.v: steps_per_cycle < 1";
-  validate_policy retry;
-  validate_deadline deadline;
-  { tech; sim; steps_per_cycle; jobs; lanes; retry; deadline }
-
-(* explicit legacy optionals always beat the bundled config, so existing
-   call sites keep their meaning when a config is introduced around them *)
-let resolve ?tech ?sim ?steps_per_cycle ?jobs ?lanes ?retry ?deadline ?config
-    () =
-  let base = Option.value config ~default in
-  let t =
-    {
-      tech = Option.value tech ~default:base.tech;
-      sim = (match sim with Some _ -> sim | None -> base.sim);
-      steps_per_cycle =
-        Option.value steps_per_cycle ~default:base.steps_per_cycle;
-      jobs = (match jobs with Some _ -> jobs | None -> base.jobs);
-      lanes = (match lanes with Some _ -> lanes | None -> base.lanes);
-      retry = Option.value retry ~default:base.retry;
-      deadline = (match deadline with Some _ -> deadline | None -> base.deadline);
-    }
-  in
-  if t.steps_per_cycle < 1 then
-    invalid_arg "Sim_config.resolve: steps_per_cycle < 1";
-  validate_policy t.retry;
-  validate_deadline t.deadline;
+  let t = { tech; sim; steps_per_cycle; jobs; lanes; retry; deadline } in
+  validate t;
   t
 
 let resolve_jobs t = Dramstress_util.Par.resolve_jobs ?jobs:t.jobs ()

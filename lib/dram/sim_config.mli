@@ -1,14 +1,10 @@
 (** Bundled simulation configuration.
 
-    Every sweep layer historically took the same loose optional
-    arguments — [?tech ?sim ?steps_per_cycle ?jobs] — and threaded them
-    down to {!Ops.run} by hand. [Sim_config.t] bundles them into one
-    value that can be built once and passed through any depth of sweep
-    calls as [?config].
-
-    The loose optionals remain accepted everywhere for compatibility;
-    when both are given, an explicit optional overrides the
-    corresponding [config] field ({!resolve}). *)
+    [Sim_config.t] bundles technology, solver options, step resolution,
+    parallelism, retry policy and deadline into one value that is built
+    once and passed through any depth of sweep calls as [?config] — the
+    only way a simulation API takes these settings. An omitted
+    [?config] means {!default}. *)
 
 (** {1 Retry / degradation policy}
 
@@ -60,8 +56,9 @@ type t = {
           one {!Ops.run_batch} integrates simultaneously; [None] defers
           to [DRAMSTRESS_LANES] then
           {!Dramstress_util.Par.default_lanes}
-          ({!Dramstress_util.Par.resolve_lanes}). [Some 1] disables
-          batching (every point is a lane of its own). *)
+          ({!Dramstress_util.Par.resolve_lanes}). It only sets the
+          chunk width: [Some 1] runs every point as a one-lane batch
+          through the same sweep path. *)
   retry : retry_policy;
       (** what {!Ops.run} tries when the solver fails on a point *)
   deadline : float option;
@@ -79,10 +76,9 @@ type t = {
     deadline. *)
 val default : t
 
-(** [v ?tech ?sim ?steps_per_cycle ?jobs ?retry ?deadline ()] builds a
-    config; omitted fields take their {!default} values. Raises
-    [Invalid_argument] if [steps_per_cycle < 1], the retry policy has
-    an invalid stage, or [deadline <= 0]. *)
+(** [v ?tech ?sim ?steps_per_cycle ?jobs ?lanes ?retry ?deadline ()]
+    builds a config; omitted fields take their {!default} values. Raises
+    [Invalid_argument] as {!validate} does. *)
 val v :
   ?tech:Tech.t ->
   ?sim:Dramstress_engine.Options.t ->
@@ -94,22 +90,12 @@ val v :
   unit ->
   t
 
-(** [resolve ?tech ?sim ?steps_per_cycle ?jobs ?retry ?config ()] merges
-    the legacy loose optionals with a bundled [config]: an explicit
-    optional wins over the matching [config] field, which wins over
-    {!default}. This is the single merge point used by every API that
-    accepts both styles. *)
-val resolve :
-  ?tech:Tech.t ->
-  ?sim:Dramstress_engine.Options.t ->
-  ?steps_per_cycle:int ->
-  ?jobs:int ->
-  ?lanes:int ->
-  ?retry:retry_policy ->
-  ?deadline:float ->
-  ?config:t ->
-  unit ->
-  t
+(** [validate t] raises [Invalid_argument] if [steps_per_cycle < 1], the
+    retry policy has an invalid stage ([Raise_steps] factor below 2, a
+    non-positive [Damped_newton] clamp or scale), or [deadline <= 0].
+    The single input check: {!v} and every {!Ops.run_batch} call apply
+    it, so a hand-built record is checked before it is simulated. *)
+val validate : t -> unit
 
 (** [resolve_jobs t] is the effective domain count:
     [Par.resolve_jobs ?jobs:t.jobs ()]. *)

@@ -6,11 +6,12 @@ type case = { label : string; fault : Memsim.fault }
 (** The classic digital fault list: SA0, SA1, TF0, TF1, CFin, CFid. *)
 val standard_faults : case list
 
-(** [electrical_faults ?tech ?rs ~stress ~kind ~placement ()] builds weak
-    -cell cases fitted from the electrical model at each resistance in
+(** [electrical_faults ?config ?rs ~stress ~kind ~placement ()] builds
+    weak-cell cases fitted from the electrical model
+    ({!Memsim.Weak.of_electrical} under [config]) at each resistance in
     [rs] (default 50 k, 200 k, 500 k, 1 MOhm). *)
 val electrical_faults :
-  ?tech:Dramstress_dram.Tech.t ->
+  ?config:Dramstress_dram.Sim_config.t ->
   ?rs:float list ->
   stress:Dramstress_dram.Stress.t ->
   kind:Dramstress_defect.Defect.kind ->

@@ -32,10 +32,10 @@ module Weak = struct
     else if num <= den then 0.0
     else Float.min 20.0 (log (num /. den))
 
-  let of_electrical ?tech ~stress ~defect () =
+  let of_electrical ?config ~stress ~defect () =
     let vdd = stress.S.vdd in
     let run ~vc_init ops =
-      let outcome = O.run ?tech ~stress ~defect ~vc_init ops in
+      let outcome = O.run ?config ~stress ~defect ~vc_init ops in
       outcome.O.results
     in
     let end_vc results = (List.nth results (List.length results - 1)).O.vc_end in
@@ -49,7 +49,7 @@ module Weak = struct
     let vc_after_w0 = end_vc (run ~vc_init:vdd [ w_low ]) in
     let vc_after_w1 = end_vc (run ~vc_init:0.0 [ w_high ]) in
     let vsa =
-      match C.Plane.vsa ?tech ~stress ~defect () with
+      match C.Plane.vsa ?config ~stress ~defect () with
       | C.Plane.Vsa v -> v
       | C.Plane.Reads_all_1 -> 0.0
       | C.Plane.Reads_all_0 -> vdd

@@ -42,11 +42,10 @@ let is_solver_failure = function
     true
   | _ -> false
 
-let generate ?tech ?sim ?jobs ?config ?checkpoint ~stress ~defect ~detection
+let generate ?(config = Sc.default) ?checkpoint ~stress ~defect ~detection
     ~x:(x_axis, x_values) ~y:(y_axis, y_values) () =
   if x_values = [] || y_values = [] then
     invalid_arg "Shmoo.generate: empty axis";
-  let config = Sc.resolve ?tech ?sim ?jobs ?config () in
   let base_key =
     Ck.fingerprint
       ("shmoo", config, stress, defect, detection, x_axis, y_axis)

@@ -22,14 +22,14 @@ type t = {
   defect : Dramstress_defect.Defect.t;
 }
 
-(** [generate ?tech ?sim ?jobs ~stress ~defect ~detection ~x ~y ()]
+(** [generate ?config ?checkpoint ~stress ~defect ~detection ~x ~y ()]
     sweeps the two axes around the base [stress]; [x] and [y] pair an
-    axis with its values. Grid points are evaluated in parallel over at
-    most [jobs] domains (default [Dramstress_util.Par.resolve_jobs];
-    [~jobs:1] is sequential). [sim] overrides the solver options of the
-    underlying runs. [config] bundles the simulation parameters
-    ({!Dramstress_dram.Sim_config.t}); explicit [?tech ?sim ?jobs]
-    override matching [config] fields. Each grid point observes the
+    axis with its values. [config] bundles the simulation parameters
+    ({!Dramstress_dram.Sim_config.t}, default
+    {!Dramstress_dram.Sim_config.default}); grid points are evaluated in
+    parallel over at most [config.jobs] domains
+    ({!Dramstress_dram.Sim_config.resolve_jobs}; [Some 1] is
+    sequential). Each grid point observes the
     shared [core.sweep.point_ms] telemetry histogram and emits a
     [shmoo.point] span.
 
@@ -38,9 +38,6 @@ type t = {
     plot. [checkpoint] records each finished cell in a
     {!Dramstress_util.Checkpoint} store so interrupted plots resume. *)
 val generate :
-  ?tech:Dramstress_dram.Tech.t ->
-  ?sim:Dramstress_engine.Options.t ->
-  ?jobs:int ->
   ?config:Dramstress_dram.Sim_config.t ->
   ?checkpoint:Dramstress_util.Checkpoint.t ->
   stress:Dramstress_dram.Stress.t ->

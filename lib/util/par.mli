@@ -49,8 +49,8 @@ val reset_env_warnings : unit -> unit
       positive integer,
     + {!default_lanes}.
 
-    A resolved value of [1] disables batching: every point is a lane of
-    its own. *)
+    The width is only a chunk size: at [1] every point is a one-lane
+    run of the same sweep path. *)
 val resolve_lanes : ?lanes:int -> unit -> int
 
 (** The default ensemble batch width ([16]) when neither an explicit

@@ -508,8 +508,9 @@ let test_diff_stress_pair_parity () =
        the same grid, bit for bit *)
     let entry = Option.get (D.find_entry "O1") in
     let direct stress =
-      C.Border.search ~config:m.Manifest.config ~r_min:1e4 ~r_max:1e8
-        ~grid_points:5 ~rel_tol:0.05 ~stress ~kind:entry.D.kind
+      C.Border.search ~config:m.Manifest.config
+        ~window:(W.v ~r_min:1e4 ~r_max:1e8 ~grid_points:5 ~rel_tol:0.05 ())
+        ~stress ~kind:entry.D.kind
         ~placement:D.True_bl
         (C.Detection.v
            [ C.Detection.Write 1; C.Detection.Write 1; C.Detection.Write 0;
@@ -559,8 +560,9 @@ let test_best_point_parity () =
   | [ (_, stored) ] ->
     let entry = Option.get (D.find_entry "O1") in
     let detection, br =
-      C.Sc_eval.best_detection ~config:m.Manifest.config ~r_min:1e4
-        ~r_max:1e8 ~grid_points:5 ~rel_tol:0.05 ~allow_pause:false
+      C.Sc_eval.best_detection ~config:m.Manifest.config
+        ~window:(W.v ~r_min:1e4 ~r_max:1e8 ~grid_points:5 ~rel_tol:0.05 ())
+        ~allow_pause:false
         ~stress:S.nominal ~kind:entry.D.kind ~placement:D.True_bl ()
     in
     Alcotest.(check bool) "same border" true
@@ -639,8 +641,9 @@ let test_cross_axis_campaign_diff () =
       { S.nominal with S.vdd = 2.1; wait = 1.0; hammer = 100 }
     in
     let direct =
-      C.Border.search ~config:m.Manifest.config ~r_min:1e4 ~r_max:1e8
-        ~grid_points:5 ~rel_tol:0.05 ~stress:stressed ~kind:entry.D.kind
+      C.Border.search ~config:m.Manifest.config
+        ~window:(W.v ~r_min:1e4 ~r_max:1e8 ~grid_points:5 ~rel_tol:0.05 ())
+        ~stress:stressed ~kind:entry.D.kind
         ~placement:D.True_bl
         (C.Detection.v
            [ C.Detection.Write 1; C.Detection.Write 0; C.Detection.Read 0 ])

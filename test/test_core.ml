@@ -4,6 +4,7 @@
 module S = Dramstress_dram.Stress
 module O = Dramstress_dram.Ops
 module D = Dramstress_defect.Defect
+module Sc = Dramstress_dram.Sim_config
 module C = Dramstress_core
 module Tel = Dramstress_util.Telemetry
 
@@ -65,8 +66,8 @@ let test_detects_open () =
 let test_border_open () =
   let cond = C.Detection.standard ~victim:0 ~primes:2 in
   match
-    C.Border.search ~r_max:1e8 ~stress:nominal ~kind:open_kind
-      ~placement:D.True_bl cond
+    C.Border.search ~window:(C.Border.Window.v ~r_max:1e8 ())
+      ~stress:nominal ~kind:open_kind ~placement:D.True_bl cond
   with
   | C.Border.Br r ->
     Alcotest.(check bool)
@@ -111,7 +112,8 @@ let test_singular_start_not_retried () =
 let test_border_true_comp_symmetry () =
   let br placement victim =
     let cond = C.Detection.standard ~victim ~primes:2 in
-    C.Border.search ~r_max:1e8 ~stress:nominal ~kind:open_kind ~placement cond
+    C.Border.search ~window:(C.Border.Window.v ~r_max:1e8 ())
+      ~stress:nominal ~kind:open_kind ~placement cond
   in
   match (br D.True_bl 0, br D.Comp_bl 1) with
   | C.Border.Br a, C.Border.Br b ->
@@ -161,13 +163,13 @@ let test_border_helpers () =
        ~stressed:(C.Border.Br 1e5)
     = None);
   (match
-     C.Border.covered_range D.Low_r_fails (C.Border.Br 1e6) ~r_min:1e3
+     C.Border.covered_ranges D.Low_r_fails (C.Border.Br 1e6) ~r_min:1e3
        ~r_max:1e9
    with
-  | Some (lo, hi) ->
+  | [ (lo, hi) ] ->
     Alcotest.(check (float 0.0)) "lo" 1e3 lo;
     Alcotest.(check (float 0.0)) "hi" 1e6 hi
-  | None -> Alcotest.fail "expected range")
+  | _ -> Alcotest.fail "expected range")
 
 (* classification core: a synthetic [refine] that bisects geometrically,
    so expected edge positions are computable in the test *)
@@ -409,8 +411,8 @@ let test_br_geometric_matches_search () =
   | Some br_geo ->
     let cond = C.Detection.standard ~victim:0 ~primes:2 in
     (match
-       C.Border.search ~r_max:1e8 ~stress:nominal ~kind:open_kind
-         ~placement:D.True_bl cond
+       C.Border.search ~window:(C.Border.Window.v ~r_max:1e8 ())
+         ~stress:nominal ~kind:open_kind ~placement:D.True_bl cond
      with
     | C.Border.Br br_search ->
       Alcotest.(check bool)
@@ -436,8 +438,9 @@ let test_plane_survives_injected_failure () =
   let bad_r = -1.0 in
   let rops = [ 1e3; bad_r; 1e5; 1e6 ] in
   let plane =
-    C.Plane.write_plane ~jobs:1 ~n_ops:2 ~rops ~stress:nominal
-      ~kind:open_kind ~placement:D.True_bl ~op:Dramstress_dram.Ops.W0 ()
+    C.Plane.write_plane ~config:(Sc.v ~jobs:1 ()) ~n_ops:2 ~rops
+      ~stress:nominal ~kind:open_kind ~placement:D.True_bl
+      ~op:Dramstress_dram.Ops.W0 ()
   in
   let module Out = Dramstress_util.Outcome in
   (match plane.C.Plane.failures with
@@ -497,9 +500,9 @@ let test_plane_checkpoint_resume_identical () =
     (fun () ->
       let module Ck = Dramstress_util.Checkpoint in
       let sweep ?checkpoint () =
-        C.Plane.write_plane ~jobs:1 ~n_ops:2 ~rops:small_rops ?checkpoint
-          ~stress:nominal ~kind:open_kind ~placement:D.True_bl
-          ~op:Dramstress_dram.Ops.W0 ()
+        C.Plane.write_plane ~config:(Sc.v ~jobs:1 ()) ~n_ops:2
+          ~rops:small_rops ?checkpoint ~stress:nominal ~kind:open_kind
+          ~placement:D.True_bl ~op:Dramstress_dram.Ops.W0 ()
       in
       let reference = sweep () in
       let ck = Ck.open_ path in
@@ -764,13 +767,13 @@ let test_batched_sweeps_match_scalar () =
   @@ fun () ->
   let cond = C.Detection.standard ~victim:0 ~primes:2 in
   let br config =
-    C.Border.search ~config ~r_max:1e8 ~stress:nominal ~kind:open_kind
-      ~placement:D.True_bl cond
+    C.Border.search ~config ~window:(C.Border.Window.v ~r_max:1e8 ())
+      ~stress:nominal ~kind:open_kind ~placement:D.True_bl cond
   in
   Alcotest.(check bool) "border search identical" true
     (C.Border.equal_result (br scalar) (br batched));
   let plane config =
-    C.Plane.write_plane ~config ~jobs:1 ~n_ops:2
+    C.Plane.write_plane ~config:{ config with Sc.jobs = Some 1 } ~n_ops:2
       ~rops:[ 1e4; 1e5; 1e6; 1e7 ] ~stress:nominal ~kind:D.Short_to_gnd
       ~placement:D.True_bl ~op:O.W0 ()
   in
@@ -1075,10 +1078,6 @@ let test_window_smart_constructors () =
   Alcotest.check_raises "rel_tol <= 0 rejected"
     (Invalid_argument "Border.Window.v: rel_tol <= 0") (fun () ->
       ignore (W.v ~rel_tol:0.0 ()));
-  (* deprecated optionals override the matching window fields *)
-  let w = W.over ~base:(W.v ~r_min:1e4 ~grid_points:25 ()) ~r_min:1e5 () in
-  Alcotest.(check (float 0.0)) "override wins" 1e5 w.W.r_min;
-  Alcotest.(check int) "untouched field kept" 25 w.W.grid_points;
   (* fingerprint: provably-grid adaptive windows share the grid address *)
   let g = W.v ~grid_points:5 () in
   let a5 = W.v ~grid_points:5 ~strategy:W.Adaptive () in
@@ -1106,6 +1105,79 @@ let test_improvement_uses_window_tolerance () =
     (match C.Border.improvement ~window:tight pol ~nominal:nominal_br ~stressed with
     | Some f -> f > 1.0
     | None -> false)
+
+(* the axis probes of an evaluation run under the evaluation's config:
+   the same samples as a direct probe under that config, not those of a
+   default-config probe *)
+let test_sc_eval_probes_use_config () =
+  let config = Sc.v ~steps_per_cycle:200 () in
+  let e =
+    C.Sc_eval.evaluate ~config ~axes:[ S.Temperature ] ~nominal
+      ~kind:open_kind ~placement:D.True_bl ()
+  in
+  let direct ?config () =
+    (C.Stressor.probe_axis ?config ~stress:nominal ~kind:open_kind
+       ~placement:D.True_bl ~detection:e.C.Sc_eval.nominal_detection
+       S.Temperature
+       (C.Stressor.default_values S.Temperature ~stress:nominal))
+      .C.Stressor.samples
+  in
+  match e.C.Sc_eval.probes with
+  | [ p ] ->
+    Alcotest.(check bool) "samples of a direct probe under the config" true
+      (p.C.Stressor.samples = direct ~config ());
+    Alcotest.(check bool) "not the samples of a default-config probe" false
+      (p.C.Stressor.samples = direct ())
+  | ps -> Alcotest.failf "expected one probe, got %d" (List.length ps)
+
+(* Checkpoint keys are a persistence format: existing [--checkpoint]
+   files must keep resuming. The digests below are those written by the
+   revision that still accepted separate technology/solver optionals
+   beside [?config]; each run records into a fresh checkpoint. *)
+let recorded_keys run =
+  let module Ck = Dramstress_util.Checkpoint in
+  let path = Filename.temp_file "dramstress_keys" ".jsonl" in
+  Sys.remove path;
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let ck = Ck.open_ path in
+      run ck;
+      Ck.close ck;
+      let keys = ref [] in
+      Ck.scan path (fun ~descr:_ ~engine:_ ~key ~value:_ ->
+          keys := key :: !keys);
+      List.sort String.compare !keys)
+
+let small_window = C.Border.Window.v ~r_min:1e3 ~r_max:1e4 ~grid_points:2 ()
+
+let test_border_key_no_config () =
+  Alcotest.(check (list string)) "br --checkpoint key"
+    [ "c98e81c98c3c10144530dde613a112fb" ]
+    (recorded_keys (fun checkpoint ->
+         ignore
+           (C.Border.search ~checkpoint ~window:small_window ~stress:nominal
+              ~kind:open_kind ~placement:D.True_bl
+              (C.Detection.standard ~victim:0 ~primes:2))))
+
+let test_border_key_config () =
+  Alcotest.(check (list string)) "campaign runner key"
+    [ "2257b129949bfd05f4e841d8a8d8750a" ]
+    (recorded_keys (fun checkpoint ->
+         ignore
+           (C.Border.search ~config:Sc.default ~checkpoint
+              ~window:small_window ~stress:nominal ~kind:open_kind
+              ~placement:D.True_bl
+              (C.Detection.standard ~victim:0 ~primes:2))))
+
+let test_plane_keys () =
+  Alcotest.(check (list string)) "write plane point keys"
+    [ "16e9927d3e2921339b93f558319e0928"; "f4a5421d5d7b443de4146c03cf8ccabb" ]
+    (recorded_keys (fun checkpoint ->
+         ignore
+           (C.Plane.write_plane ~checkpoint ~n_ops:2 ~rops:[ 1e4; 1e5 ]
+              ~stress:nominal ~kind:open_kind ~placement:D.True_bl
+              ~op:O.W0 ())))
 
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
@@ -1173,6 +1245,12 @@ let () =
             test_plane_checkpoint_resume_identical;
           slow "batched sweeps match scalar" test_batched_sweeps_match_scalar;
         ] );
+      ( "checkpoint keys",
+        [
+          tc "border search without config" test_border_key_no_config;
+          tc "border search with config" test_border_key_config;
+          tc "write plane" test_plane_keys;
+        ] );
       ( "stressor",
         [
           tc "cycle-time verdict" test_probe_cycle_time;
@@ -1192,5 +1270,6 @@ let () =
           slow "exhaustive baseline" test_exhaustive_small_grid;
           tc "simulation counter" test_run_counter;
           slow "table 1 generation" test_table1_quick;
+          slow "axis probes use the config" test_sc_eval_probes_use_config;
         ] );
     ]

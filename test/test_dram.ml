@@ -297,7 +297,8 @@ let test_incremental_matches_naive () =
           { E.Options.default with E.Options.naive_assembly = naive;
             integrator; abstol = 1e-12; reltol = 1e-10 }
         in
-        O.run ~sim ~stress:nominal ~defect:d ~vc_init:1.0 ops
+        O.run ~config:(Dramstress_dram.Sim_config.v ~sim ()) ~stress:nominal
+          ~defect:d ~vc_init:1.0 ops
       in
       let a = run true and b = run false in
       Alcotest.(check (list int))
@@ -483,6 +484,24 @@ let test_deadline_validation () =
   Alcotest.check_raises "non-positive deadline"
     (Invalid_argument "Sim_config: deadline must be > 0") (fun () ->
       ignore (Sc.v ~deadline:0.0 ()))
+
+(* [Sim_config.validate] is the one input check and every simulation
+   applies it, so a hand-built record cannot slip past it *)
+let test_config_validated_at_run () =
+  let run config =
+    ignore
+      (O.run ~config ~cache:(O.Cache.create ()) ~stress:nominal ~vc_init:0.0
+         [ O.W1; O.R ])
+  in
+  Alcotest.check_raises "hand-built steps_per_cycle = 0"
+    (Invalid_argument "Sim_config: steps_per_cycle < 1") (fun () ->
+      run { Sc.default with Sc.steps_per_cycle = 0 });
+  Alcotest.check_raises "hand-built invalid retry stage"
+    (Invalid_argument "Sim_config: Raise_steps factor < 2") (fun () ->
+      run { Sc.default with Sc.retry = { Sc.stages = [ Sc.Raise_steps 1 ] } });
+  Alcotest.check_raises "Sim_config.v applies the same check"
+    (Invalid_argument "Sim_config: steps_per_cycle < 1") (fun () ->
+      ignore (Sc.v ~steps_per_cycle:0 ()))
 
 (* the acceptance scenario: one chaos-hung point is cut off by the
    deadline and reported as Failed {error = Timeout} while the rest of
@@ -680,8 +699,8 @@ let test_batch_honours_naive_assembly () =
       [ 2e5; 6e5 ]
   in
   let batch sim =
-    O.run_batch ~sim ~cache:(O.Cache.create ~enabled:false ()) ~stress:nominal
-      ~lanes ops
+    O.run_batch ~config:(Sc.v ~sim ()) ~cache:(O.Cache.create ~enabled:false ())
+      ~stress:nominal ~lanes ops
   in
   let rebuilds () =
     Option.value ~default:0
@@ -1213,6 +1232,8 @@ let () =
           tc "hung point cut off, sweep finishes" test_sweep_hung_point_cut_off;
           tc "transient NaN rescued by halving" test_nan_once_rescued_by_halving;
           tc "sweep survives singular chaos" test_sweep_survives_singular_chaos;
+          tc "hand-built config validated at run"
+            test_config_validated_at_run;
         ] );
       ( "batched parity",
         [

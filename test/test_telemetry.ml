@@ -202,7 +202,8 @@ let test_cache_counters_reconcile () =
   Tel.reset ();
   Tel.set_enabled true;
   let plane () =
-    Dramstress_core.Plane.write_plane ~jobs:1 ~n_ops:2
+    Dramstress_core.Plane.write_plane
+      ~config:(Dramstress_dram.Sim_config.v ~jobs:1 ()) ~n_ops:2
       ~rops:[ 5e3; 5e5 ] ~stress:S.nominal ~kind:D.Short_to_gnd
       ~placement:D.True_bl ~op:O.W0 ()
   in
