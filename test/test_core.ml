@@ -1245,7 +1245,7 @@ let () =
             test_plane_checkpoint_resume_identical;
           slow "batched sweeps match scalar" test_batched_sweeps_match_scalar;
         ] );
-      ( "checkpoint keys",
+      ( "ckpt keys",
         [
           tc "border search without config" test_border_key_no_config;
           tc "border search with config" test_border_key_config;
