@@ -17,6 +17,8 @@ module U = Dramstress_util.Units
 module Tel = Dramstress_util.Telemetry
 module Sc = Dramstress_dram.Sim_config
 module Chaos = Dramstress_util.Chaos
+module Stats = Dramstress_util.Stats
+module Slu = Dramstress_util.Sparse_lu
 
 let nominal = S.nominal
 let open_kind = D.Open_cell D.At_bitline_contact
@@ -314,19 +316,61 @@ let perf_engine_ab () =
     Array.length oc.O.trace.Dramstress_engine.Transient.times
   in
   let n_pts = trace_points sim_fast in
-  let reps = 5 in
+  (* median and interquartile range over [step_trials] timed trials of
+     [reps] runs each, after one untimed warm-up run: one shot of this
+     figure has read 13 us and 23 us on the same build *)
+  let reps = 5 and step_trials = 7 in
   let step_ns sim =
     let config = Sc.v ~sim () in
-    let dt =
-      wall (fun () ->
-          for _ = 1 to reps do
-            ignore (O.run ~config ~stress:nominal ~defect ~vc_init:2.4 [ O.W0 ])
-          done)
+    let run () =
+      ignore (O.run ~config ~stress:nominal ~defect ~vc_init:2.4 [ O.W0 ])
     in
-    1e9 *. dt /. float_of_int (reps * n_pts)
+    run ();
+    let per_point =
+      Array.init step_trials (fun _ ->
+          let dt =
+            wall (fun () ->
+                for _ = 1 to reps do
+                  run ()
+                done)
+          in
+          1e9 *. dt /. float_of_int (reps * n_pts))
+    in
+    ( Stats.median per_point,
+      Stats.quantile 0.75 per_point -. Stats.quantile 0.25 per_point )
   in
-  let step_naive = step_ns sim_naive in
-  let step_fast = step_ns sim_fast in
+  let step_naive, step_naive_iqr = step_ns sim_naive in
+  let step_fast, step_fast_iqr = step_ns sim_fast in
+  (* --- size of the compiled sparse-LU refactor program -------------- *)
+  (* Deterministic counts of the per-iteration factorization work on the
+     O1 column (idle controls, 0.1 ns step, zero iterate): structural
+     entries, fill-in entries and multiply-adds per refactor. A tripwire
+     on growth; a static fill-reducing order must bring them down. *)
+  let lu_kernel =
+    let module Mna = Dramstress_engine.Mna in
+    let built =
+      Dramstress_dram.Column.build ~tech:T.default ~vdd:nominal.S.vdd
+        ~controls:Dramstress_dram.Column.idle_controls ~defect ()
+    in
+    let sys = Mna.make built.Dramstress_dram.Column.compiled in
+    let reactive =
+      { (Mna.init_reactive sys ~prev_v:(Array.make (Mna.n_nodes sys) 0.0)) with
+        Mna.dt = 1e-10 }
+    in
+    let g, _ =
+      Mna.assemble sys ~opts:sim_fast ~t_now:0.0
+        ~x:(Array.make (Mna.size sys) 0.0) ~reactive
+    in
+    let lu = Slu.make ~n:(Mna.size sys) ~pattern:(Mna.structural_pattern sys) in
+    Slu.factor lu g;
+    Option.get (Slu.program_size lu)
+  in
+  let lu_limit = { Slu.structural = 63; fill = 58; multiply_adds = 218 } in
+  let lu_kernel_ok =
+    lu_kernel.Slu.structural <= lu_limit.Slu.structural
+    && lu_kernel.fill <= lu_limit.fill
+    && lu_kernel.multiply_adds <= lu_limit.multiply_adds
+  in
   (* --- allocation budget of the incremental path ------------------- *)
   (* Acceptance check: a Newton iteration allocates nothing (DESIGN.md,
      "Engine hot loop"), so what a one-lane run allocates per accepted
@@ -665,9 +709,18 @@ let perf_engine_ab () =
   in
   let overhead_limit_pct = 2.0 in
   let overhead_ok = overhead_pct <= overhead_limit_pct in
-  Printf.printf "  %-34s naive %10.1f   incremental %10.1f   speedup %5.2fx\n"
+  Printf.printf
+    "  %-34s naive %10.1f   incremental %10.1f   speedup %5.2fx (median of \
+     %d, IQR %.1f / %.1f)\n"
     "transient step (ns/point)" step_naive step_fast
-    (ratio step_naive step_fast);
+    (ratio step_naive step_fast) step_trials step_naive_iqr step_fast_iqr;
+  Printf.printf
+    "  %-34s %d structural, %d fill, %d multiply-adds (limit %d / %d / %d: \
+     %s)\n"
+    "sparse-LU refactor program" lu_kernel.Slu.structural lu_kernel.fill
+    lu_kernel.multiply_adds lu_limit.Slu.structural lu_limit.fill
+    lu_limit.multiply_adds
+    (if lu_kernel_ok then "ok" else "GREW");
   Printf.printf "  %-34s naive %10.3f   incremental %10.3f   speedup %5.2fx\n"
     "fig2 plane sweep (s)" plane_naive plane_fast (ratio plane_naive plane_fast);
   Printf.printf
@@ -716,7 +769,11 @@ let perf_engine_ab () =
       "{\n\
       \  \"jobs\": 1,\n\
       \  \"transient_step_ns_per_point\": { \"naive\": %.1f, \"incremental\": \
-       %.1f, \"speedup\": %.2f },\n\
+       %.1f, \"speedup\": %.2f, \"naive_iqr\": %.1f, \"incremental_iqr\": \
+       %.1f, \"trials\": %d },\n\
+      \  \"lu_kernel\": { \"structural\": %d, \"fill\": %d, \
+       \"multiply_adds\": %d, \"limit_structural\": %d, \"limit_fill\": %d, \
+       \"limit_multiply_adds\": %d, \"within_limit\": %b },\n\
       \  \"fig2_plane_sweep_s\": { \"naive\": %.4f, \"incremental\": %.4f, \
        \"speedup\": %.2f },\n\
       \  \"fig2_plane_batched_s\": { \"naive\": %.4f, \"batched\": %.4f, \
@@ -744,7 +801,10 @@ let perf_engine_ab () =
        \"probe_calls_per_op\": %d, \"overhead_pct\": %.5f, \"limit_pct\": \
        %.1f, \"overhead_within_limit\": %b }\n\
        }\n"
-      step_naive step_fast (ratio step_naive step_fast) plane_naive plane_fast
+      step_naive step_fast (ratio step_naive step_fast) step_naive_iqr
+      step_fast_iqr step_trials lu_kernel.Slu.structural lu_kernel.fill
+      lu_kernel.multiply_adds lu_limit.Slu.structural lu_limit.fill
+      lu_limit.multiply_adds lu_kernel_ok plane_naive plane_fast
       (ratio plane_naive plane_fast) plane_naive plane_batched 16 batch_speedup
       batch_speedup_limit batch_speedup_ok words_lane lane_words_limit
       lane_alloc_ok chaos_injected chaos_fallbacks doomed_fallbacks

@@ -1,5 +1,6 @@
 module C = Dramstress_circuit
 module L = Dramstress_util.Linalg
+module Sp = Dramstress_util.Sparse_lu
 module Tel = Dramstress_util.Telemetry
 
 let c_template_rebuilds = Tel.Counter.make "engine.mna.template_rebuilds"
@@ -19,7 +20,9 @@ let record_factor_solve () =
    conductances — fixed for a given time step and integrator) that is
    pre-stamped into a cached template, and a *dynamic* part (switches,
    source values, capacitor history, MOSFET linearizations) restamped on
-   top of a row-wise copy of the template. *)
+   top of a flat copy of the template. The workspace holds no dense
+   matrix: template and system are arrays of the structural values, and
+   each device's slot plan names the value slots its stamps add into. *)
 
 type res_plan = { r_a : int; r_b : int; g_res : float }
 
@@ -59,7 +62,62 @@ type t = {
   vsrcs : vsrc_plan array;
   isrcs : isrc_plan array;
   mosfets : mos_plan array;
+  layout : Sp.layout;
+  (* slot plans: the value slots ({!Sp.slot}) each stamp adds
+     into, [-1] where a terminal is ground. A conductance between a and
+     b takes four, in [stamp_g] order (aa, bb, ab, ba); a MOSFET takes
+     eight, its gds conductance (d, s) then its gm VCCS entries (dg, ds,
+     sg, ss); a voltage source takes (pos, row), (row, pos), (neg, row),
+     (row, neg) *)
+  gmin_slots : int array;
+  res_slots : int array;
+  sw_slots : int array;
+  cap_slots : int array;
+  vs_slots : int array;
+  mos_slots : int array;
 }
+
+(* The structural nonzero pattern of every system any assembly of these
+   plans can produce — derived from the stamp PLANS, never from numeric
+   values: a MOSFET's gm is zero below threshold and nonzero above, a
+   switch conductance swings between g_on and g_off, but the stamped
+   POSITIONS are fixed. This is what {!Dramstress_util.Sparse_lu}
+   numbers and analyses once per topology. *)
+let pattern_of ~size ~n_nodes ~resistors ~switches ~caps ~vsrcs ~mosfets =
+  let pat = Array.make_matrix size size false in
+  let mark r c = if r > 0 && c > 0 then pat.(r - 1).(c - 1) <- true in
+  let mark_g a b =
+    mark a a;
+    mark b b;
+    mark a b;
+    mark b a
+  in
+  for node = 1 to n_nodes - 1 do
+    pat.(node - 1).(node - 1) <- true (* gmin *)
+  done;
+  Array.iter (fun p -> mark_g p.r_a p.r_b) resistors;
+  Array.iter (fun p -> mark_g p.s_a p.s_b) switches;
+  Array.iter (fun p -> mark_g p.c_a p.c_b) caps;
+  Array.iter
+    (fun p ->
+      (* branch rows/cols land past the node block; mark them directly *)
+      if p.v_pos > 0 then begin
+        pat.(p.v_pos - 1).(p.row) <- true;
+        pat.(p.row).(p.v_pos - 1) <- true
+      end;
+      if p.v_neg > 0 then begin
+        pat.(p.v_neg - 1).(p.row) <- true;
+        pat.(p.row).(p.v_neg - 1) <- true
+      end)
+    vsrcs;
+  Array.iter
+    (fun p ->
+      (* gds between d and s, plus the gm VCCS controlled by (g, s) *)
+      mark_g p.m_d p.m_s;
+      mark p.m_d p.m_g;
+      mark p.m_s p.m_g)
+    mosfets;
+  pat
 
 let make (compiled : C.Netlist.compiled) =
   let n_nodes = compiled.n_nodes in
@@ -107,21 +165,65 @@ let make (compiled : C.Netlist.compiled) =
         mosfets := { m_d = d; m_g = g; m_s = s; model; mult = m } :: !mosfets)
     compiled.devices;
   let arr l = Array.of_list (List.rev !l) in
+  let resistors = arr resistors and switches = arr switches in
+  let caps = arr caps and vsrcs = arr vsrcs and mosfets = arr mosfets in
+  let size = n_nodes - 1 + !nv in
+  let layout =
+    Sp.layout ~n:size
+      ~pattern:
+        (pattern_of ~size ~n_nodes ~resistors ~switches ~caps ~vsrcs ~mosfets)
+  in
+  (* slot of the entry at (row, col) of the unknown vector, with node
+     terminals mapped to rows as [node - 1] and ground dropped *)
+  let node_slot a b =
+    if a > 0 && b > 0 then Sp.slot layout (a - 1) (b - 1) else -1
+  in
+  let g_slots k a b =
+    match k with
+    | 0 -> node_slot a a
+    | 1 -> node_slot b b
+    | 2 -> node_slot a b
+    | _ -> node_slot b a
+  in
+  let plan per devices slots =
+    Array.init (per * Array.length devices) (fun k ->
+        slots (k mod per) devices.(k / per))
+  in
   {
     compiled;
     n_nodes;
     n_vsources = !nv;
-    size = n_nodes - 1 + !nv;
+    size;
     vsrc_branch;
     cap_index;
     res_index;
     n_caps = !nc;
-    resistors = arr resistors;
-    switches = arr switches;
-    caps = arr caps;
-    vsrcs = arr vsrcs;
+    resistors;
+    switches;
+    caps;
+    vsrcs;
     isrcs = arr isrcs;
-    mosfets = arr mosfets;
+    mosfets;
+    layout;
+    gmin_slots = Array.init (n_nodes - 1) (fun i -> node_slot (i + 1) (i + 1));
+    res_slots = plan 4 resistors (fun k p -> g_slots k p.r_a p.r_b);
+    sw_slots = plan 4 switches (fun k p -> g_slots k p.s_a p.s_b);
+    cap_slots = plan 4 caps (fun k p -> g_slots k p.c_a p.c_b);
+    vs_slots =
+      plan 4 vsrcs (fun k p ->
+          let node = if k < 2 then p.v_pos else p.v_neg in
+          if node = 0 then -1
+          else if k land 1 = 0 then Sp.slot layout (node - 1) p.row
+          else Sp.slot layout p.row (node - 1));
+    mos_slots =
+      plan 8 mosfets (fun k p ->
+          if k < 4 then g_slots k p.m_d p.m_s
+          else
+            match k with
+            | 4 -> node_slot p.m_d p.m_g
+            | 5 -> node_slot p.m_d p.m_s
+            | 6 -> node_slot p.m_s p.m_g
+            | _ -> node_slot p.m_s p.m_s);
   }
 
 let size sys = sys.size
@@ -130,48 +232,10 @@ let n_capacitors sys = sys.n_caps
 let resistor_index sys name = Hashtbl.find_opt sys.res_index name
 let resistor_g sys index = sys.resistors.(index).g_res
 
-(* The structural nonzero pattern of every system any assembly of [sys]
-   can produce — derived from the stamp PLANS, never from numeric
-   values: a MOSFET's gm is zero below threshold and nonzero above, a
-   switch conductance swings between g_on and g_off, but the stamped
-   POSITIONS are fixed. This is what {!Dramstress_util.Sparse_lu}
-   analyses once per topology. *)
 let structural_pattern sys =
-  let n = sys.size in
-  let pat = Array.make_matrix n n false in
-  let mark r c = if r > 0 && c > 0 then pat.(r - 1).(c - 1) <- true in
-  let mark_g a b =
-    mark a a;
-    mark b b;
-    mark a b;
-    mark b a
-  in
-  for node = 1 to sys.n_nodes - 1 do
-    pat.(node - 1).(node - 1) <- true (* gmin *)
-  done;
-  Array.iter (fun p -> mark_g p.r_a p.r_b) sys.resistors;
-  Array.iter (fun p -> mark_g p.s_a p.s_b) sys.switches;
-  Array.iter (fun p -> mark_g p.c_a p.c_b) sys.caps;
-  Array.iter
-    (fun p ->
-      (* branch rows/cols land past the node block; mark them directly *)
-      if p.v_pos > 0 then begin
-        pat.(p.v_pos - 1).(p.row) <- true;
-        pat.(p.row).(p.v_pos - 1) <- true
-      end;
-      if p.v_neg > 0 then begin
-        pat.(p.v_neg - 1).(p.row) <- true;
-        pat.(p.row).(p.v_neg - 1) <- true
-      end)
-    sys.vsrcs;
-  Array.iter
-    (fun p ->
-      (* gds between d and s, plus the gm VCCS controlled by (g, s) *)
-      mark_g p.m_d p.m_s;
-      mark p.m_d p.m_g;
-      mark p.m_s p.m_g)
-    sys.mosfets;
-  pat
+  pattern_of ~size:sys.size ~n_nodes:sys.n_nodes ~resistors:sys.resistors
+    ~switches:sys.switches ~caps:sys.caps ~vsrcs:sys.vsrcs
+    ~mosfets:sys.mosfets
 
 let[@inline] node_voltage _sys x node = if node = 0 then 0.0 else x.(node - 1)
 
@@ -260,13 +324,30 @@ let mosfet_stamps ~temp mat rhs x sys (m : C.Device.t) =
 (* Incremental assembly workspace                                      *)
 (* ------------------------------------------------------------------ *)
 
-module Sp = Dramstress_util.Sparse_lu
+(* Slot stamping: the workspace holds only the structural entries of the
+   system, one float per {!Sp.slot}, and each stamp adds into the slots
+   its plan names. Every entry receives the additions of [stamp_g] /
+   [stamp_vccs] in the same order, so a slot ends with the bits the
+   dense entry would hold. *)
+
+let[@inline] add_at vals s v = if s >= 0 then vals.(s) <- vals.(s) +. v
+
+(* [stamp_g] on the four slots at [slots.(o ..)] *)
+let[@inline] stamp_g_at g vals slots o =
+  add_at vals slots.(o) g;
+  add_at vals slots.(o + 1) g;
+  let sab = slots.(o + 2) in
+  if sab >= 0 then begin
+    vals.(sab) <- vals.(sab) -. g;
+    let sba = slots.(o + 3) in
+    vals.(sba) <- vals.(sba) -. g
+  end
 
 type workspace = {
   w_size : int;
-  mat : L.matrix;          (* stamped system, factored in place *)
+  vals : float array;      (* stamped structural values, slot order *)
   rhs : float array;       (* stamped RHS, overwritten with the solution *)
-  tmpl : L.matrix;         (* cached static-linear template *)
+  tmpl : float array;      (* cached static-linear template, slot order *)
   (* scalar fields rather than a key tuple: the validity check runs every
      Newton iteration and must not allocate *)
   mutable tmpl_valid : bool;
@@ -296,18 +377,17 @@ type workspace = {
   mutable mos_terms : C.Mosfet.terms array;
   mutable mos_temp : float;
   bias : C.Mosfet.bias;
-  perm : int array;
   scratch : float array;
-  mutable slu : Sp.t option;  (* lazily built on the first sparse solve *)
+  slu : Sp.t;
 }
 
 let make_workspace sys =
   let n = sys.size in
   {
     w_size = n;
-    mat = L.create n n;
+    vals = Array.make (Sp.nnz sys.layout) 0.0;
     rhs = Array.make n 0.0;
-    tmpl = L.create n n;
+    tmpl = Array.make (Sp.nnz sys.layout) 0.0;
     tmpl_valid = false;
     tmpl_dt = 0.0;
     tmpl_gmin = 0.0;
@@ -321,9 +401,8 @@ let make_workspace sys =
     mos_terms = [||];
     mos_temp = Float.nan;
     bias = C.Mosfet.bias ();
-    perm = Array.make n 0;
     scratch = Array.make n 0.0;
-    slu = None;
+    slu = Sp.create sys.layout;
   }
 
 let set_resistor_override ws ~index ~g =
@@ -334,11 +413,13 @@ let clear_resistor_override ws =
   ws.excluded_res <- -1;
   ws.override_g.(0) <- 0.0
 
-(* Reference from-scratch assembly (the seed implementation). Kept alive
-   as the golden baseline: the incremental workspace path below must
-   produce identical systems, which the regression tests assert. A
-   workspace [ws] contributes only its resistor override, stamped in
-   place of the netlist value. *)
+(* Reference from-scratch assembly (the seed implementation), stamping
+   device by device in netlist order into a dense matrix. It sums each
+   entry in a different order from the template path below, so the two
+   agree up to summation order (the last bits of most diagonal entries
+   differ), not bit for bit; the golden traces are the bit oracle. A workspace [ws]
+   contributes only its resistor override, stamped in place of the
+   netlist value. *)
 let assemble ?ws sys ~(opts : Options.t) ~t_now ~x ~reactive =
   let excluded, g_override =
     match ws with
@@ -409,30 +490,23 @@ let assemble ?ws sys ~(opts : Options.t) ~t_now ~x ~reactive =
    stamped fresh after each template copy instead). *)
 let rebuild_template sys ws ~(opts : Options.t) ~dt =
   let tmpl = ws.tmpl in
-  for i = 0 to ws.w_size - 1 do
-    Array.fill tmpl.(i) 0 ws.w_size 0.0
-  done;
-  for node = 1 to sys.n_nodes - 1 do
-    tmpl.(node - 1).(node - 1) <- tmpl.(node - 1).(node - 1) +. opts.gmin
-  done;
+  Array.fill tmpl 0 (Array.length tmpl) 0.0;
+  Array.iter (fun s -> add_at tmpl s opts.gmin) sys.gmin_slots;
   Array.iteri
     (fun i p ->
-      if i <> ws.excluded_res then stamp_g p.g_res tmpl p.r_a p.r_b)
+      if i <> ws.excluded_res then stamp_g_at p.g_res tmpl sys.res_slots (4 * i))
     sys.resistors;
-  Array.iter
-    (fun p ->
-      if p.v_pos > 0 then begin
-        tmpl.(p.v_pos - 1).(p.row) <- tmpl.(p.v_pos - 1).(p.row) +. 1.0;
-        tmpl.(p.row).(p.v_pos - 1) <- tmpl.(p.row).(p.v_pos - 1) +. 1.0
-      end;
-      if p.v_neg > 0 then begin
-        tmpl.(p.v_neg - 1).(p.row) <- tmpl.(p.v_neg - 1).(p.row) -. 1.0;
-        tmpl.(p.row).(p.v_neg - 1) <- tmpl.(p.row).(p.v_neg - 1) -. 1.0
-      end)
-    sys.vsrcs;
+  for i = 0 to Array.length sys.vsrcs - 1 do
+    let sl = sys.vs_slots and o = 4 * i in
+    add_at tmpl sl.(o) 1.0;
+    add_at tmpl sl.(o + 1) 1.0;
+    add_at tmpl sl.(o + 2) (-1.0);
+    add_at tmpl sl.(o + 3) (-1.0)
+  done;
   if dt > 0.0 then
-    Array.iter
-      (fun p -> stamp_g (cap_g ~opts ~dt p.cap) tmpl p.c_a p.c_b)
+    Array.iteri
+      (fun i p ->
+        stamp_g_at (cap_g ~opts ~dt p.cap) tmpl sys.cap_slots (4 * i))
       sys.caps
 
 (* Evaluate every control waveform at [t_now] into the workspace
@@ -483,21 +557,17 @@ let assemble_into_pre sys ws ~(opts : Options.t) ~x ~reactive =
       Array.map (fun p -> C.Mosfet.terms p.model ~temp:opts.temp) sys.mosfets;
     ws.mos_temp <- opts.temp
   end;
-  let mat = ws.mat and rhs = ws.rhs in
-  for i = 0 to n - 1 do
-    Array.blit ws.tmpl.(i) 0 mat.(i) 0 n
-  done;
+  let vals = ws.vals and rhs = ws.rhs in
+  Array.blit ws.tmpl 0 vals 0 (Array.length vals);
   Array.fill rhs 0 n 0.0;
-  (if ws.excluded_res >= 0 then
-     let p = sys.resistors.(ws.excluded_res) in
-     stamp_g ws.override_g.(0) mat p.r_a p.r_b);
+  if ws.excluded_res >= 0 then
+    stamp_g_at ws.override_g.(0) vals sys.res_slots (4 * ws.excluded_res);
   (* dynamic stamps: switch state and source values at t_now, capacitor
      history currents, MOSFET linearization around x. Indexed loops, not
      [Array.iter]: this body runs every Newton iteration and a closure per
      device class would be allocated on each call. *)
   for i = 0 to Array.length sys.switches - 1 do
-    let p = sys.switches.(i) in
-    stamp_g ws.sw_g.(i) mat p.s_a p.s_b
+    stamp_g_at ws.sw_g.(i) vals sys.sw_slots (4 * i)
   done;
   if reactive.dt > 0.0 then
     for i = 0 to Array.length sys.caps - 1 do
@@ -536,42 +606,33 @@ let assemble_into_pre sys ws ~(opts : Options.t) ~x ~reactive =
     and gm = b.C.Mosfet.g_m *. p.mult
     and gds = b.C.Mosfet.g_ds *. p.mult in
     let ieq = id -. (gm *. vgs) -. (gds *. vds) in
-    stamp_g gds mat p.m_d p.m_s;
-    stamp_vccs gm mat p.m_d p.m_s p.m_g p.m_s;
+    let sl = sys.mos_slots and o = 8 * i in
+    stamp_g_at gds vals sl o;
+    (* [stamp_vccs gm] with (p, n, cp, cn) = (d, s, g, s) *)
+    add_at vals sl.(o + 4) gm;
+    add_at vals sl.(o + 5) (-.gm);
+    add_at vals sl.(o + 6) (-.gm);
+    add_at vals sl.(o + 7) gm;
     stamp_i (-.ieq) rhs p.m_d;
     stamp_i ieq rhs p.m_s
   done
 
 module Chaos = Dramstress_util.Chaos
 
-let solve_in_place sys ws ~(opts : Options.t) =
+let solve_in_place sys ws =
   record_factor_solve ();
   if Chaos.armed () && Chaos.fire Chaos.Perturb_jacobian then
     (* zero a row: crisply rank-deficient, so the factorization's pivot
        guard must catch it — the detection the chaos harness asserts *)
-    Array.fill ws.mat.(0) 0 ws.w_size 0.0;
-  if opts.dense_lu then begin
-    (* golden oracle: the dense in-place LU with per-factor partial
-       pivoting, selected like [naive_assembly] selects the reference
-       assembly *)
-    let lu = L.lu_factor_in_place ws.mat ~perm:ws.perm in
-    L.lu_solve_in_place lu ~scratch:ws.scratch ws.rhs
-  end
-  else begin
-    let slu =
-      match ws.slu with
-      | Some s -> s
-      | None ->
-        let s = Sp.make ~n:ws.w_size ~pattern:(structural_pattern sys) in
-        ws.slu <- Some s;
-        s
-    in
-    Sp.factor slu ws.mat;
-    Sp.solve slu ~scratch:ws.scratch ws.rhs
-  end
+    for col = 0 to ws.w_size - 1 do
+      let s = Sp.slot sys.layout 0 col in
+      if s >= 0 then ws.vals.(s) <- 0.0
+    done;
+  Sp.factor_values ws.slu ws.vals;
+  Sp.solve ws.slu ~scratch:ws.scratch ws.rhs
 
 let solution ws = ws.rhs
-let pivot_order ws = Option.bind ws.slu Sp.pivot_order
+let pivot_order ws = Sp.pivot_order ws.slu
 
 (* [out] may alias [reactive.prev_cap_current]: each capacitor reads
    only its own slot's previous current before overwriting that same

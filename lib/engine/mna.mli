@@ -69,17 +69,20 @@ val resistor_g : t -> int -> float
     pattern of every system any assembly of [sys] can produce, derived
     from the stamp plans (never from numeric values — a MOSFET [gm] or
     switch conductance being zero {e now} says nothing about the next
-    iterate). Input for {!Dramstress_util.Sparse_lu.make}. *)
+    iterate). Input for {!Dramstress_util.Sparse_lu.layout}, which
+    [make] numbers once into the value slots every workspace of [sys]
+    stamps into. *)
 val structural_pattern : t -> bool array array
 
 (** Reusable per-solve buffers for the incremental assembly path: the
-    work matrix and RHS, the cached static-linear template (gmin,
-    resistors, voltage-source topology, capacitor conductances for the
-    current [(dt, gmin, integrator)]), and the pivot/substitution
-    scratch used by the in-place LU, and the MOSFET temperature terms
-    for the current [opts.temp]. One workspace serves any number of
-    sequential solves on the same system; it must not be shared between
-    domains. *)
+    system's structural values (one float per
+    {!Dramstress_util.Sparse_lu.slot}, no dense matrix) and its RHS, the
+    cached static-linear template in the same slots (gmin, resistors,
+    voltage-source topology, capacitor conductances for the current
+    [(dt, gmin, integrator)]), the sparse-LU handle with its
+    substitution scratch, and the MOSFET temperature terms for the
+    current [opts.temp]. One workspace serves any number of sequential
+    solves on the same system; it must not be shared between domains. *)
 type workspace
 
 (** [make_workspace sys] allocates buffers sized for [sys]. *)
@@ -99,11 +102,17 @@ val clear_resistor_override : workspace -> unit
 
 (** [assemble ?ws sys ~opts ~t_now ~x ~reactive] stamps the full
     linearized system at [t_now] around iterate [x] and returns freshly
-    allocated [(g, b)]. This is the reference from-scratch path, selected
-    by [opts.naive_assembly]; {!assemble_into_pre} produces identical
-    systems without allocating. Of [ws] only the resistor override
-    ({!set_resistor_override}) is used: that resistor is stamped with the
-    override conductance instead of its netlist value. *)
+    allocated dense [(g, b)]. This is the reference from-scratch path,
+    selected by [opts.naive_assembly]. It stamps device by device in
+    netlist order, so it sums each entry in a different order from
+    {!assemble_into_pre} (template first, then the dynamic stamps): the
+    two agree up to summation order — the last bits of the diagonal
+    entries differ at most column points (relative 1e-16 to 1e-15) —
+    not bit for bit. The checked-in golden
+    traces, not this path, are the engine's bit oracle. Of [ws] only the
+    resistor override ({!set_resistor_override}) is used: that resistor
+    is stamped with the override conductance instead of its netlist
+    value. *)
 val assemble :
   ?ws:workspace ->
   t ->
@@ -127,8 +136,12 @@ val eval_controls_into : t -> workspace -> t_now:float -> unit
     then dynamic stamps — switch states, source values, capacitor
     history, MOSFET linearization around [x] from per-temperature
     {!Dramstress_circuit.Mosfet.terms} cached in the workspace (rebuilt
-    only when [opts.temp] changes). It produces systems identical to
-    {!assemble}, and once the caches are built it allocates nothing. *)
+    only when [opts.temp] changes). Every stamp adds into the value
+    slots its device's slot plan names, and each entry receives its
+    additions in the same order whatever the slot layout, so the
+    waveforms match the golden traces bit for bit. It agrees with
+    {!assemble} up to summation order, and once the caches are built it
+    allocates nothing. *)
 val assemble_into_pre :
   t ->
   workspace ->
@@ -137,21 +150,18 @@ val assemble_into_pre :
   reactive:reactive ->
   unit
 
-(** [solve_in_place sys ws ~opts] factors the assembled matrix and
-    overwrites the assembled RHS with the solution ({!solution}). The
-    default path is the sparsity-aware factorization
-    ({!Dramstress_util.Sparse_lu}) reusing one symbolic analysis per
-    topology, held in the workspace; with [opts.dense_lu] the dense
-    in-place LU with per-factor partial pivoting runs instead — the
-    golden oracle, selected exactly like [naive_assembly]. Raises
+(** [solve_in_place sys ws] factors the assembled values with the
+    sparsity-aware factorization ({!Dramstress_util.Sparse_lu}), reusing
+    the workspace's symbolic analysis, and overwrites the assembled RHS
+    with the solution ({!solution}). A first or stale-pivot analysis
+    densifies the workspace's own values. Raises
     [Dramstress_util.Linalg.Singular] on a rank-deficient (or
     non-finite) system. *)
-val solve_in_place : t -> workspace -> opts:Options.t -> unit
+val solve_in_place : t -> workspace -> unit
 
 (** [pivot_order ws] is the sparse LU's pivot order in force
     ({!Dramstress_util.Sparse_lu.pivot_order}); [None] before the first
-    sparse solve and on the [dense_lu] path, whose per-factor pivoting
-    carries no order from one solve to the next. *)
+    solve. *)
 val pivot_order : workspace -> int array option
 
 (** [solution ws] is the workspace RHS buffer, holding the solution

@@ -170,7 +170,7 @@ let[@inline] iterate sys ws ~(opts : Options.t) ~deadline_at ~t_now ~reactive
     end
     else begin
       Mna.assemble_into_pre sys ws ~opts ~x ~reactive;
-      (match Mna.solve_in_place sys ws ~opts with
+      (match Mna.solve_in_place sys ws with
       | () -> ()
       | exception L.Singular { row; pivot } ->
         sick_singular ~t_now ~iter ~row ~pivot);

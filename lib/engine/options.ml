@@ -9,7 +9,6 @@ type t = {
   temp : float;
   integrator : integrator;
   naive_assembly : bool;
-  dense_lu : bool;
   dt_scale : float;
   health_guards : bool;
 }
@@ -24,7 +23,6 @@ let default =
     temp = 300.15;
     integrator = Backward_euler;
     naive_assembly = false;
-    dense_lu = false;
     dt_scale = 1.0;
     health_guards = true;
   }

@@ -15,12 +15,6 @@ type t = {
           path instead of the incremental workspace engine. Slower;
           kept alive as the golden baseline for regression tests and
           A/B benchmarks. *)
-  dense_lu : bool;
-      (** force the dense in-place LU on the workspace hot path instead
-          of the sparsity-aware factorization ({!Dramstress_util.Sparse_lu})
-          that reuses one symbolic analysis per circuit topology. Kept
-          alive as the golden oracle for the sparse path, exactly like
-          [naive_assembly] for assembly; default [false]. *)
   dt_scale : float;
       (** multiplier applied to every transient segment's nominal time
           step (must be positive; default 1.0). Values below 1 refine
@@ -39,5 +33,5 @@ type t = {
 
 (** Defaults: abstol 1e-6 V, reltol 1e-4, 80 Newton iterations, gmin 1e-12 S,
     1.0 V step clamp, 300.15 K, backward Euler, incremental assembly,
-    sparse LU, dt_scale 1.0, health guards on. *)
+    dt_scale 1.0, health guards on. *)
 val default : t

@@ -121,16 +121,6 @@ let lu_factor a =
   factor_loop lu perm n;
   { lu; perm }
 
-let lu_factor_in_place a ~perm =
-  let n, m = dims a in
-  assert (n = m);
-  assert (Array.length perm = n);
-  for i = 0 to n - 1 do
-    perm.(i) <- i
-  done;
-  factor_loop a perm n;
-  { lu = a; perm }
-
 (* forward/back substitution over a dense LU, solving destructively
    into [x] (which must already hold the permuted RHS) *)
 let substitute lu x n =
@@ -152,16 +142,6 @@ let substitute lu x n =
     done;
     x.(i) <- !s /. row.(i)
   done
-
-let lu_solve_in_place { lu; perm } ~scratch b =
-  let n = Array.length perm in
-  assert (Array.length b = n);
-  assert (Array.length scratch >= n);
-  for i = 0 to n - 1 do
-    scratch.(i) <- b.(perm.(i))
-  done;
-  substitute lu scratch n;
-  Array.blit scratch 0 b 0 n
 
 let lu_solve { lu; perm } b =
   let n = Array.length perm in

@@ -44,23 +44,11 @@ exception Singular of { row : int; pivot : float }
     [b] is not modified. *)
 val lu_solve : lu -> float array -> float array
 
-(** [lu_factor_in_place a ~perm] factors [a] destructively (no matrix
-    allocation): [a]'s rows are permuted and overwritten with the L and U
-    factors. [perm] must have the same length as [a]; it is reset to the
-    identity and filled with the pivoting permutation. The returned [lu]
-    aliases [a] and [perm]. Raises [Singular] like {!lu_factor}. *)
-val lu_factor_in_place : matrix -> perm:int array -> lu
-
 (** [lu_perm f] is the row permutation chosen by partial pivoting:
     factored row [i] holds original row [lu_perm f].(i). {!Sparse_lu}
     seeds its fixed pivot order from this. The array aliases the
     factorization's own state — do not mutate. *)
 val lu_perm : lu -> int array
-
-(** [lu_solve_in_place lu ~scratch b] overwrites [b] with the solution of
-    [a * x = b], allocation-free. [scratch] is caller-owned workspace of
-    at least the system size; its contents are clobbered. *)
-val lu_solve_in_place : lu -> scratch:float array -> float array -> unit
 
 (** [solve a b] is [lu_solve (lu_factor a) b]. *)
 val solve : matrix -> float array -> float array

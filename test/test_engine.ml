@@ -270,9 +270,11 @@ let test_step_failed_context () =
     Alcotest.(check bool) "worst update reported" true (worst > 0.0)
 
 let test_naive_assembly_matches_incremental () =
-  (* golden cross-check at the engine level: the kept-alive allocating
-     assembly and the incremental workspace path must agree bit-for-bit
-     within solver tolerance on a nonlinear switching circuit *)
+  (* engine-level cross-check: the allocating reference assembly and the
+     incremental workspace path sum each matrix entry in a different
+     order, so their systems differ in the last bit of some entries; the
+     waveforms must still agree within solver tolerance on a nonlinear
+     switching circuit. The golden traces are the bit oracle. *)
   let model = M.nmos ~name:"n" ~vt0:0.5 ~kp:2e-4 () in
   let nl = N.create () in
   N.vsource nl ~name:"vbl" "bl" "0" (W.dc 2.4);

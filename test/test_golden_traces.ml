@@ -13,6 +13,11 @@
    run resumes its lanes from the cached op-boundary states; it must
    reproduce the same checked-in trace.
 
+   The "stale pivot" group pins the sparse LU's reanalysis path to the
+   same oracle: its case must reanalyse mid-run (densify the
+   workspace's values, re-pick the pivot order, recompile the refactor
+   program) and still match its trace.
+
    Regenerate (only when a waveform change is intended, and say so):
      dune exec test/test_golden_traces.exe -- --regen test/golden/traces *)
 
@@ -22,6 +27,7 @@ module S = Dramstress_dram.Stress
 module Sc = Dramstress_dram.Sim_config
 module E = Dramstress_engine
 module T = Dramstress_engine.Transient
+module Slu = Dramstress_util.Sparse_lu
 
 let golden_dir = Filename.concat "golden" "traces"
 
@@ -181,6 +187,16 @@ let check ~warm case () =
         want)
     expected actual
 
+(* a case whose run goes through [Sparse_lu]'s stale-pivot reanalysis *)
+let stale_pivot_case = "o1-nominal-wwr-scalar"
+
+let check_reanalyses case () =
+  let reanalyses () = (Slu.stats ()).Slu.reanalyses in
+  let before = reanalyses () in
+  check ~warm:false case ();
+  if reanalyses () = before then
+    Alcotest.failf "%s no longer reanalyses its sparse LU mid-run" case.name
+
 let () =
   match Sys.argv with
   | [| _; "--regen"; dir |] -> regen dir
@@ -192,4 +208,8 @@ let () =
           cases )
     in
     Alcotest.run "golden_traces"
-      [ group "bitwise" ~warm:false; group "prefix resume" ~warm:true ]
+      [ group "bitwise" ~warm:false;
+        group "prefix resume" ~warm:true;
+        ( "stale pivot",
+          let case = List.find (fun c -> c.name = stale_pivot_case) cases in
+          [ Alcotest.test_case case.name `Quick (check_reanalyses case) ] ) ]

@@ -342,44 +342,82 @@ let test_plot_grid () =
   Alcotest.(check bool) "axis names" true (contains out "rows: y")
 
 (* ------------------------------------------------------------------ *)
-(* In-place LU                                                         *)
+(* Sparse_lu                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let test_lu_in_place_matches_solve () =
-  let a = [| [| 4.0; 1.0; 0.5 |]; [| 1.0; 3.0; -1.0 |]; [| 0.0; 2.0; 5.0 |] |] in
-  let b = [| 1.0; -2.0; 4.0 |] in
-  let expected = L.solve a b in
-  let work = L.copy a in
-  let perm = Array.make 3 0 in
-  let scratch = Array.make 3 0.0 in
-  let fact = L.lu_factor_in_place work ~perm in
+module Slu = Dramstress_util.Sparse_lu
+
+let pattern_of a = Array.map (Array.map (fun v -> v <> 0.0)) a
+
+(* an arrowhead: dense first row and column on a diagonal, so the first
+   pivot fills the whole trailing block *)
+let arrow =
+  [| [| 8.0; 1.0; 2.0; 3.0 |];
+     [| 1.0; 4.0; 0.0; 0.0 |];
+     [| 2.0; 0.0; 5.0; 0.0 |];
+     [| 3.0; 0.0; 0.0; 6.0 |] |]
+
+let sparse_solve lu b =
   let x = Array.copy b in
-  L.lu_solve_in_place fact ~scratch x;
-  Array.iteri (fun i v -> check_float "in-place solve" expected.(i) v) x
+  Slu.solve lu ~scratch:(Array.make (Array.length b) 0.0) x;
+  x
 
-let test_lu_in_place_pivoting () =
-  let work = [| [| 0.0; 1.0 |]; [| 1.0; 0.0 |] |] in
-  let perm = Array.make 2 0 in
-  let scratch = Array.make 2 0.0 in
-  let fact = L.lu_factor_in_place work ~perm in
-  let x = [| 2.0; 3.0 |] in
-  L.lu_solve_in_place fact ~scratch x;
-  check_float "x" 3.0 x.(0);
-  check_float "y" 2.0 x.(1)
+let test_sparse_lu_matches_dense () =
+  let lu = Slu.make ~n:4 ~pattern:(pattern_of arrow) in
+  let b = [| 1.0; -2.0; 3.0; 0.5 |] in
+  Slu.factor lu arrow;
+  let x = sparse_solve lu b in
+  Array.iteri (fun i v -> check_float "sparse = dense" v x.(i)) (L.solve arrow b)
 
-let test_lu_in_place_reuse () =
-  (* the same perm/scratch buffers serve successive factorizations, as in
-     the Newton iteration hot loop *)
-  let perm = Array.make 2 0 in
-  let scratch = Array.make 2 0.0 in
-  List.iter
-    (fun scale ->
-      let work = [| [| 2.0 *. scale; 1.0 |]; [| 1.0; 3.0 |] |] in
-      let reference = L.solve work [| 5.0; 10.0 |] in
-      let x = [| 5.0; 10.0 |] in
-      L.lu_solve_in_place (L.lu_factor_in_place work ~perm) ~scratch x;
-      Array.iteri (fun i v -> check_float "reuse" reference.(i) v) x)
-    [ 1.0; 2.0; 0.5 ]
+let test_sparse_lu_slots_row_major () =
+  let l = Slu.layout ~n:4 ~pattern:(pattern_of arrow) in
+  Alcotest.(check int) "nnz" 10 (Slu.nnz l);
+  Alcotest.(check (list int)) "row 0 then row 1"
+    [ 0; 1; 2; 3; 4; 5 ]
+    [ Slu.slot l 0 0; Slu.slot l 0 1; Slu.slot l 0 2; Slu.slot l 0 3;
+      Slu.slot l 1 0; Slu.slot l 1 1 ];
+  Alcotest.(check int) "off the pattern" (-1) (Slu.slot l 1 2)
+
+let test_sparse_lu_program_size () =
+  let lu = Slu.make ~n:4 ~pattern:(pattern_of arrow) in
+  Alcotest.(check bool) "none before a factorization" true
+    (Slu.program_size lu = None);
+  Slu.factor lu arrow;
+  match Slu.program_size lu with
+  | Some { Slu.structural; fill; multiply_adds } ->
+    Alcotest.(check int) "structural" 10 structural;
+    (* the first pivot fills the six off-diagonal trailing entries *)
+    Alcotest.(check int) "fill" 6 fill;
+    (* 3 x 3 updates at the first pivot, 2 x 2 and 1 x 1 after it *)
+    Alcotest.(check int) "multiply-adds" 14 multiply_adds
+  | None -> Alcotest.fail "no program after a factorization"
+
+let test_sparse_lu_stale_pivot_reanalyses () =
+  let a = [| [| 4.0; 1.0 |]; [| 1.0; 3.0 |] |] in
+  let lu = Slu.make ~n:2 ~pattern:[| [| true; true |]; [| true; true |] |] in
+  Slu.factor lu a;
+  let order = Slu.pivot_order lu in
+  let before = (Slu.stats ()).Slu.reanalyses in
+  (* the first pivot vanishes: the stored order is stale *)
+  let b = [| [| 0.0; 1.0 |]; [| 1.0; 3.0 |] |] in
+  Slu.factor lu b;
+  Alcotest.(check int) "one reanalysis" (before + 1) (Slu.stats ()).Slu.reanalyses;
+  Alcotest.(check bool) "new pivot order" true (Slu.pivot_order lu <> order);
+  let x = sparse_solve lu [| 2.0; 3.0 |] in
+  Array.iteri
+    (fun i v -> check_float "solution" v x.(i))
+    (L.solve b [| 2.0; 3.0 |])
+
+let test_sparse_lu_non_finite_keeps_order () =
+  let lu = Slu.make ~n:4 ~pattern:(pattern_of arrow) in
+  Slu.factor lu arrow;
+  let order = Slu.pivot_order lu in
+  let poisoned = L.copy arrow in
+  poisoned.(0).(0) <- Float.nan;
+  (match Slu.factor lu poisoned with
+  | () -> Alcotest.fail "a NaN pivot factored"
+  | exception L.Singular { row; _ } -> Alcotest.(check int) "row" 0 row);
+  Alcotest.(check bool) "pivot order kept" true (Slu.pivot_order lu = order)
 
 (* ------------------------------------------------------------------ *)
 (* Interp.of_sorted_arrays                                             *)
@@ -1518,10 +1556,15 @@ let () =
           tc "solve does not mutate input" test_lu_does_not_mutate;
           tc "mat_vec and mat_mul" test_mat_vec_mul;
           tc "norms" test_norms;
-          tc "in-place LU matches solve" test_lu_in_place_matches_solve;
-          tc "in-place LU pivoting" test_lu_in_place_pivoting;
-          tc "in-place LU buffer reuse" test_lu_in_place_reuse;
           QCheck_alcotest.to_alcotest prop_lu_roundtrip;
+        ] );
+      ( "sparse_lu",
+        [
+          tc "matches the dense solve" test_sparse_lu_matches_dense;
+          tc "slots numbered row-major" test_sparse_lu_slots_row_major;
+          tc "program size" test_sparse_lu_program_size;
+          tc "stale pivot reanalyses" test_sparse_lu_stale_pivot_reanalyses;
+          tc "non-finite keeps the order" test_sparse_lu_non_finite_keeps_order;
         ] );
       ( "lru",
         [
